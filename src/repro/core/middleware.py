@@ -5,9 +5,8 @@ and edge on the same platform.  We also suggest to have a single middleware
 both for district heating, edge and DCC."  This class is that middleware,
 assembled from the substrates:
 
-* a city (:class:`~repro.network.topology.CityTopology`) of districts, each a
-  :class:`~repro.core.cluster.Cluster` of Q.rads — one per room of each
-  building — plus optional digital boilers;
+* a city of districts, each a :class:`~repro.core.cluster.Cluster` of
+  Q.rads — one per room of each building — plus optional digital boilers;
 * per-cluster schedulers (architecture class 1 or 2) behind edge/DCC gateways;
 * an :class:`~repro.core.offloading.Offloader` wired to peer clusters and to
   a classical :class:`~repro.hardware.datacenter.Datacenter`;
@@ -51,7 +50,6 @@ from repro.hardware.server import Task
 from repro.network.internet import WANLink, WANProfile
 from repro.network.link import Link
 from repro.network.lowpower import ZIGBEE, LowPowerProtocol
-from repro.network.topology import CityTopology
 from repro.obs import get_obs
 from repro.sim.calendar import SimCalendar
 from repro.sim.engine import Engine
@@ -175,9 +173,6 @@ class DF3Middleware:
         self.cal = SimCalendar()
         self.weather = Weather(
             self.rngs.stream("weather"), cfg.weather, horizon=cfg.weather_horizon
-        )
-        self.topology = CityTopology.build(
-            cfg.n_districts, cfg.buildings_per_district, wan=cfg.wan
         )
         self.ledger = HeatIslandLedger()
         self.comfort = ComfortTracker(band_c=1.0)

@@ -1,5 +1,9 @@
 """City-scale topology on a ``networkx`` graph.
 
+A standalone model: :class:`~repro.core.middleware.DF3Middleware` does not
+build one, and ``networkx`` is imported only when a :class:`CityTopology` is
+constructed, so simulation processes never load it.
+
 The DF3 deployment shape (paper Figs. 3 and 5): buildings host DF servers,
 buildings group into **district clusters** coordinated by a master/gateway,
 districts connect to each other and to the remote datacenter over fiber.
@@ -19,7 +23,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.network.internet import WANProfile
@@ -55,6 +58,8 @@ class CityTopology:
     """
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self.graph = nx.Graph()
 
     # ------------------------------------------------------------------ #
@@ -134,6 +139,8 @@ class CityTopology:
 
     def path(self, a: str, b: str) -> List[str]:
         """Minimum-latency path between two nodes."""
+        import networkx as nx
+
         return nx.shortest_path(self.graph, a, b, weight="weight")
 
     def path_links(self, a: str, b: str) -> List[Link]:

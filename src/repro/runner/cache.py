@@ -14,7 +14,9 @@ unreadable entry is treated as a miss and recomputed, never an error, so
 
 from __future__ import annotations
 
+import os
 import pickle
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Tuple
@@ -62,13 +64,24 @@ class ResultCache:
         return True, value
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value``; atomic enough for concurrent readers (tmp+rename)."""
+        """Store ``value`` atomically.
+
+        Each writer pickles into a temp file of its own in the shard
+        directory and renames it into place, so concurrent readers see a
+        whole entry or none, and concurrent writers of one key never share
+        a temp file (the last rename wins).
+        """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("wb") as f:
-            pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key}.",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         self.stats.writes += 1
 
     def __contains__(self, key: str) -> bool:

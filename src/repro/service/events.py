@@ -6,15 +6,23 @@ connected SSE client owns a bounded :class:`queue.Queue` it drains at its own
 pace.  Publishing never blocks the simulation: when a subscriber's queue is
 full the oldest event is dropped and counted, so a stalled client can at
 worst lose its own history — never slow the engine or its siblings.
+
+The bus also keeps the most recent ``max_queue`` events in a replay ring.
+A new subscriber's queue starts with that ring, so a client that connects
+late (or reconnects) still receives the run's tail, ``run.finished``
+included, and every subscriber sees strictly increasing ``seq`` values with
+gaps only where its own queue overflowed.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import queue
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = ["BusEvent", "EventBus", "Subscription", "drain"]
 
@@ -33,6 +41,12 @@ class BusEvent:
     data: dict
     seq: int
 
+    def sse_frame(self) -> bytes:
+        """The event as one SSE frame (the same bytes live or replayed)."""
+        return (f"event: {self.kind}\nid: {self.seq}\n"
+                f"data: {json.dumps(self.data, sort_keys=True)}\n\n"
+                ).encode("utf-8")
+
 
 @dataclass
 class Subscription:
@@ -44,7 +58,8 @@ class Subscription:
 
 
 class EventBus:
-    """Bounded-queue publish/subscribe with drop-oldest overflow."""
+    """Bounded-queue publish/subscribe with drop-oldest overflow and a
+    replay ring of the last ``max_queue`` events."""
 
     def __init__(self, max_queue: int = 1024):
         if max_queue < 1:
@@ -52,6 +67,7 @@ class EventBus:
         self.max_queue = max_queue
         self._lock = threading.Lock()
         self._subs: Dict[int, Subscription] = {}
+        self._ring: Deque[BusEvent] = deque(maxlen=max_queue)
         self._ids = itertools.count()
         self._seq = itertools.count()
         self.published = 0
@@ -59,10 +75,16 @@ class EventBus:
 
     # ------------------------------------------------------------------ #
     def subscribe(self) -> Subscription:
-        """Register a new subscriber; events published after this call flow
-        into its queue."""
+        """Register a new subscriber.
+
+        Its queue starts with the replay ring (the last ``max_queue``
+        events, oldest first); every event published after this call
+        follows, with no gap or duplicate in between.
+        """
         sub = Subscription(next(self._ids), queue.Queue(maxsize=self.max_queue))
         with self._lock:
+            for event in self._ring:
+                sub.events.put_nowait(event)
             self._subs[sub.sub_id] = sub
         return sub
 
@@ -83,24 +105,26 @@ class EventBus:
 
         A full subscriber queue sheds its oldest event to make room (the
         drop is counted on both the subscription and the bus), so one slow
-        SSE client cannot stall the engine thread.
+        SSE client cannot stall the engine thread.  Numbering, the ring and
+        the fan-out share one lock, so concurrent publishers reach every
+        queue in ``seq`` order.
         """
-        event = BusEvent(kind=kind, data=data, seq=next(self._seq))
         with self._lock:
-            subs = list(self._subs.values())
-        for sub in subs:
-            while True:
-                try:
-                    sub.events.put_nowait(event)
-                    break
-                except queue.Full:
+            event = BusEvent(kind=kind, data=data, seq=next(self._seq))
+            self._ring.append(event)
+            for sub in self._subs.values():
+                while True:
                     try:
-                        sub.events.get_nowait()
-                        sub.dropped += 1
-                        self.dropped += 1
-                    except queue.Empty:  # racing consumer made room
-                        continue
-        self.published += 1
+                        sub.events.put_nowait(event)
+                        break
+                    except queue.Full:
+                        try:
+                            sub.events.get_nowait()
+                            sub.dropped += 1
+                            self.dropped += 1
+                        except queue.Empty:  # racing consumer made room
+                            continue
+            self.published += 1
         return event
 
 

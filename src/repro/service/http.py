@@ -19,7 +19,8 @@ Endpoints
 ``GET  /api/spans``        span-tree / critical-path summary
 ``GET  /api/metrics``      metrics snapshot
 ``GET  /api/trace/tail``   recent trace records (``?n=50``)
-``GET  /events``           SSE telemetry stream (``?max_events=`` to bound)
+``GET  /events``           SSE telemetry stream (``?max_events=`` to bound;
+                           replays the bus ring, after ``Last-Event-ID``)
 ``POST /api/inject``       inject a request (edge / cloud / heating)
 ``POST /api/scenario``     mutate the scenario (weather / grid cap / kill)
 ``POST /api/control``      pause / pause_at / resume / step
@@ -43,6 +44,7 @@ __all__ = ["TwinServer", "serve"]
 
 _SSE_HEARTBEAT_S = 5.0          # keep-alive comment cadence on idle streams
 _COMMAND_WAIT_S = 30.0          # POST round-trip budget
+_FINAL_EVENTS = ("run.finished", "run.error")   # an SSE stream ends here
 
 
 class TwinServer(ThreadingHTTPServer):
@@ -153,10 +155,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _stream_events(self, max_events: Optional[int]) -> None:
         """The SSE writer loop: drain this subscriber until it disconnects.
 
+        The stream starts with the bus's replay ring, minus the events a
+        reconnecting client acknowledged in its ``Last-Event-ID`` header,
+        and closes right after ``run.finished`` or ``run.error``.
         ``max_events`` bounds the stream then closes it — what the CI smoke
         test and curl-based probes use to consume a finite prefix.
         """
         twin = self.server.twin
+        try:
+            last_id = int(self.headers.get("Last-Event-ID", ""))
+        except ValueError:
+            last_id = -1
         sub = twin.bus.subscribe()
         try:
             self.send_response(200)
@@ -174,11 +183,13 @@ class _Handler(BaseHTTPRequestHandler):
                     self.wfile.write(b": keep-alive\n\n")
                     self.wfile.flush()
                     continue
-                frame = (f"event: {ev.kind}\nid: {ev.seq}\n"
-                         f"data: {json.dumps(ev.data, sort_keys=True)}\n\n")
-                self.wfile.write(frame.encode("utf-8"))
+                if ev.seq <= last_id:
+                    continue
+                self.wfile.write(ev.sse_frame())
                 self.wfile.flush()
                 sent += 1
+                if ev.kind in _FINAL_EVENTS:
+                    break
         except (BrokenPipeError, ConnectionResetError):
             pass
         finally:

@@ -68,6 +68,10 @@ class DiurnalProfile:
     internally); ``weekend_factor`` scales Saturday/Sunday; an optional
     seasonal amplitude modulates over the year (peak mid-January — useful for
     building-activity signals that follow presence-at-home).
+
+    :meth:`rate` reads ``t`` only through its day of year and hour of day,
+    so each (day, hour) value is computed once and memoised per instance —
+    at most 366 × 24 entries, because both indices wrap with the year.
     """
 
     base_rate_hz: float
@@ -85,9 +89,19 @@ class DiurnalProfile:
             raise ValueError("hour weights must be >= 0")
         if not 0 <= self.seasonal_amplitude < 1:
             raise ValueError("seasonal amplitude must be in [0, 1)")
+        # not a dataclass field: the memo is call history, not profile data,
+        # so equality, hashing and runner cache keys never see it
+        object.__setattr__(self, "_memo", {})
 
     def rate(self, t: float) -> float:
         """Instantaneous rate (events/s) at simulated time ``t``."""
+        key = (self._cal.day_of_year(t), int(self._cal.hour_of_day(t)) % 24)
+        r = self._memo.get(key)
+        if r is None:
+            r = self._memo[key] = self._rate(t)
+        return r
+
+    def _rate(self, t: float) -> float:
         mean_w = sum(self.hour_weights) / 24.0
         if mean_w == 0:
             return 0.0

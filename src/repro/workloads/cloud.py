@@ -58,6 +58,7 @@ class CloudJobGenerator:
         self.rng = rng
         self.config = config
         self.profile = DiurnalProfile.office_hours(config.rate_per_hour / 3600.0)
+        self._mu = np.log(config.mean_core_seconds) - 0.5 * config.sigma_log**2
 
     def generate(self, t0: float, t1: float) -> List[CloudRequest]:
         """All cloud requests arriving in [t0, t1), time-sorted."""
@@ -66,8 +67,7 @@ class CloudJobGenerator:
 
     def _make(self, t: float) -> CloudRequest:
         cfg = self.config
-        mu = np.log(cfg.mean_core_seconds) - 0.5 * cfg.sigma_log**2
-        core_seconds = float(self.rng.lognormal(mu, cfg.sigma_log))
+        core_seconds = float(self.rng.lognormal(self._mu, cfg.sigma_log))
         cores = int(self.rng.integers(1, cfg.max_cores + 1))
         return CloudRequest(
             cycles=core_seconds * cfg.ref_freq_ghz * _GHZ,

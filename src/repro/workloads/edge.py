@@ -13,7 +13,8 @@ detection — all share this shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -72,12 +73,17 @@ class EdgeWorkloadGenerator:
         self.source = source
         self.config = config
         self.profile = DiurnalProfile.home_evenings(config.rate_per_hour / 3600.0)
+        self._mu = (np.log(config.mean_megacycles * 1e6)
+                    - 0.5 * config.sigma_log**2)
         weights = np.array([w for _, w in config.deadline_classes], dtype=float)
         total = weights.sum()
         if total <= 0:
             raise ValueError("deadline class weights sum to zero")
-        self._deadline_p = weights / total
-        self._deadlines = np.array([d for d, _ in config.deadline_classes])
+        # built exactly as ``Generator.choice(p=...)`` builds it per call
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        self._deadline_cdf = cdf.tolist()
+        self._deadlines = [float(d) for d, _ in config.deadline_classes]
 
     def generate(self, t0: float, t1: float) -> List[EdgeRequest]:
         """All edge requests arriving in [t0, t1), time-sorted."""
@@ -119,9 +125,11 @@ class EdgeWorkloadGenerator:
 
     def _draw(self, t: float) -> Tuple[float, float, float, str]:
         cfg = self.config
-        mu = np.log(cfg.mean_megacycles * 1e6) - 0.5 * cfg.sigma_log**2
-        cycles = float(self.rng.lognormal(mu, cfg.sigma_log))
-        deadline = float(self.rng.choice(self._deadlines, p=self._deadline_p))
+        cycles = float(self.rng.lognormal(self._mu, cfg.sigma_log))
+        # one uniform bisected into the cdf: the class and the stream state
+        # ``rng.choice(deadlines, p=p)`` leaves, without its per-call checks
+        deadline = self._deadlines[bisect_right(self._deadline_cdf,
+                                                self.rng.random())]
         mode = EdgeMode.DIRECT if self.rng.random() < cfg.direct_fraction else EdgeMode.INDIRECT
         return (float(t), cycles, deadline, mode.value)
 

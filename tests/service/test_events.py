@@ -1,6 +1,9 @@
-"""EventBus: fan-out, bounded queues, drop-oldest overflow."""
+"""EventBus: fan-out, bounded queues, drop-oldest overflow, replay ring."""
 
+import queue
+import sys
 import threading
+import time
 
 import pytest
 
@@ -87,3 +90,102 @@ def test_publish_from_many_threads_is_safe():
 def test_bad_capacity_rejected():
     with pytest.raises(ValueError):
         EventBus(max_queue=0)
+
+
+def test_late_subscriber_replays_the_ring():
+    bus = EventBus()
+    for i in range(5):
+        bus.publish("tick", {"i": i})
+    sub = bus.subscribe()
+    bus.publish("tick", {"i": 5})
+    got = drain(sub, timeout=0.1, max_events=10)
+    assert [seq for _, _, seq in got] == list(range(6))
+    assert [d["i"] for _, d, _ in got] == list(range(6))
+
+
+def test_replay_ring_is_bounded_by_max_queue():
+    bus = EventBus(max_queue=3)
+    for i in range(10):
+        bus.publish("tick", {"i": i})
+    sub = bus.subscribe()
+    got = drain(sub, timeout=0.1, max_events=10)
+    assert [seq for _, _, seq in got] == [7, 8, 9]
+    assert sub.dropped == 0
+
+
+def test_replayed_event_is_the_published_event():
+    bus = EventBus()
+    live = bus.subscribe()
+    bus.publish("state", {"now": 1.5, "nested": {"b": 1, "a": [1, 2]}})
+    late = bus.subscribe()
+    ev_live, ev_late = live.events.get_nowait(), late.events.get_nowait()
+    assert ev_late is ev_live
+    assert ev_late.sse_frame() == (
+        b'event: state\nid: 0\n'
+        b'data: {"nested": {"a": [1, 2], "b": 1}, "now": 1.5}\n\n')
+
+
+@pytest.mark.parametrize("max_queue", [1200, 64])
+def test_concurrent_publishers_and_joining_subscribers(max_queue):
+    """Publishers race subscribers that join mid-stream.
+
+    With a ring that holds the whole stream every subscriber sees exactly
+    seq 0..N-1, whenever it joined.  With a short ring, seq still strictly
+    increases up to the final event, and gaps only come from the
+    subscriber's own counted drops; a subscriber joining after the end
+    receives exactly the ring.
+    """
+    bus = EventBus(max_queue=max_queue)
+    publishers, per_publisher = 3, 400
+    total = publishers * per_publisher
+    deadline = time.monotonic() + 30.0
+    seen = {}
+
+    def publish(tag):
+        for i in range(per_publisher):
+            bus.publish("tick", {"tag": tag, "i": i})
+
+    def subscribe(join_after):
+        while bus.published < join_after and time.monotonic() < deadline:
+            time.sleep(0)
+        sub = bus.subscribe()
+        seqs = []
+        while time.monotonic() < deadline:
+            try:
+                ev = sub.events.get(timeout=0.05)
+            except queue.Empty:
+                continue
+            seqs.append(ev.seq)
+            if ev.seq == total - 1:
+                break
+        seen[join_after] = (sub, seqs)
+
+    joins = (0, 50, 300, 700, 1100)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=subscribe, args=(k,), daemon=True)
+                   for k in joins]
+        threads += [threading.Thread(target=publish, args=(p,), daemon=True)
+                    for p in range(publishers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not th.is_alive(), "stress thread did not finish in time"
+    finally:
+        sys.setswitchinterval(old_interval)
+
+    assert bus.published == total and sorted(seen) == list(joins)
+    for join_after, (sub, seqs) in seen.items():
+        if max_queue >= total:
+            assert seqs == list(range(total)), join_after
+            assert sub.dropped == 0
+        else:
+            assert seqs[-1] == total - 1, join_after
+            assert all(b > a for a, b in zip(seqs, seqs[1:])), join_after
+            assert seqs[-1] - seqs[0] + 1 - len(seqs) <= sub.dropped
+    late = bus.subscribe()
+    got = drain(late, timeout=0.1, max_events=total)
+    assert [seq for _, _, seq in got] == \
+        list(range(max(0, total - max_queue), total))

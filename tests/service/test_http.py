@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core.requests import reset_ids
 from repro.service import ScenarioConfig, TwinConfig, TwinServer, build_twin
+from repro.service.http import _SSE_HEARTBEAT_S
 
 
 @pytest.fixture()
@@ -172,6 +174,59 @@ def test_sse_closes_when_run_finishes(served_twin):
     reader.join(timeout=30)
     assert not reader.is_alive(), "SSE stream did not close after the run"
     assert "event: run.finished" in done["raw"]
+
+
+def _read_events(base, headers=None):
+    req = urllib.request.Request(base + "/events", headers=headers or {})
+    with urllib.request.urlopen(req, timeout=60) as r:
+        return r.read().decode("utf-8")
+
+
+def _frames_by_id(raw):
+    """The SSE frames of a stream, keyed by their id (comments dropped)."""
+    frames = {}
+    for frame in raw.split("\n\n"):
+        if frame.strip() and not frame.startswith(":"):
+            fields = dict(line.split(": ", 1) for line in frame.splitlines())
+            frames[int(fields["id"])] = frame
+    return frames
+
+
+def test_sse_replays_the_run_to_late_and_reconnecting_clients(served_twin):
+    twin, base = served_twin
+    live = {}
+
+    def consume():
+        live["raw"] = _read_events(base)
+
+    reader = threading.Thread(target=consume, daemon=True)
+    reader.start()
+    deadline = time.monotonic() + 30
+    while twin.bus.subscriber_count == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    post(base, "/api/control", {"action": "resume"})
+    assert twin.join(timeout=60)
+    reader.join(timeout=30)
+    assert not reader.is_alive(), "live SSE stream did not close"
+
+    # a client connecting after the end receives the whole run from the
+    # ring, byte for byte as the live client saw it, and the stream closes
+    # at run.finished rather than at the idle-heartbeat check
+    t0 = time.monotonic()
+    late_raw = _read_events(base)
+    assert time.monotonic() - t0 < _SSE_HEARTBEAT_S
+    late = _frames_by_id(late_raw)
+    assert list(late) == list(range(len(late)))
+    assert late == _frames_by_id(live["raw"])
+    assert late[len(late) - 1].startswith("event: run.finished\n")
+    assert late_raw.endswith(late[len(late) - 1] + "\n\n")
+
+    # a reconnecting client gets only what follows its Last-Event-ID
+    resumed = _frames_by_id(_read_events(base, {"Last-Event-ID": "5"}))
+    assert list(resumed) == list(range(6, len(late)))
+    assert all(resumed[i] == late[i] for i in resumed)
+    garbled = _frames_by_id(_read_events(base, {"Last-Event-ID": "x"}))
+    assert garbled == late
 
 
 def test_shutdown_endpoint_flags_server(served_twin):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.experiments.common import ExperimentResult
 from repro.runner import ResultCache, SweepRunner, code_version, stable_hash
 from repro.runner.runner import RunReport, result_key
@@ -71,6 +76,38 @@ def test_corrupt_node_entry_degrades_to_miss_and_recomputes(tmp_path):
     # its blueprint prefix ancestor was a cache hit, not a recompute
     assert warm.computed_nodes == 1
     assert warm.cached_nodes == 24          # 23 points + the needed prefix
+
+
+_WRITER = """
+import sys
+from repro.runner import ResultCache
+cache = ResultCache(sys.argv[1])
+value = {"payload": bytes(range(256)) * 2048, "n": 7}
+for _ in range(int(sys.argv[3])):
+    cache.put(sys.argv[2], value)
+"""
+
+
+def test_two_processes_writing_one_key_never_collide(tmp_path):
+    """Two ``repro run`` processes sharing a cache dir may store the same
+    node at once: neither may raise, and the entry must stay whole."""
+    key = stable_hash("shared node")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    writers = [subprocess.Popen(
+        [sys.executable, "-c", _WRITER, str(tmp_path), key, "150"],
+        env=env, stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    try:
+        for proc in writers:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+    finally:
+        for proc in writers:
+            proc.kill()  # no-op for a writer that has exited
+    hit, value = ResultCache(tmp_path).get(key)
+    assert hit and value == {"payload": bytes(range(256)) * 2048, "n": 7}
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == \
+        [f"{key}.pkl"]
 
 
 def test_cache_clear(tmp_path):
