@@ -97,7 +97,7 @@ class DecisionSystem:
             for r in residuals:
                 freed_cores = freed
                 freed_cores += sum(
-                    t.cores
+                    t.cores * t.chunks
                     for t in w.running_tasks
                     if t.remaining_cycles / (rate * t.cores) <= r
                 )

@@ -74,7 +74,8 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     def crash_server(self, server_name: str, salvage: bool = True,
                      hard: bool = False) -> int:
-        """Hard-fail a DF server.  Returns the number of tasks it was running.
+        """Hard-fail a DF server.  Returns the number of tasks it was running
+        (a filler block counts as its chunks).
 
         With ``salvage``, killed cloud requests re-enter their cluster's queue
         and killed edge requests are re-submitted (they may still make their
@@ -87,7 +88,7 @@ class FaultInjector:
         killed, district = self.kill_server(server_name, hard=hard)
         if salvage:
             self.salvage_tasks(killed, district)
-        return len(killed)
+        return sum(t.chunks for t in killed)
 
     def kill_server(self, server_name: str, hard: bool = False):
         """Kill a server's tasks and power it off — no salvage.
@@ -103,16 +104,17 @@ class FaultInjector:
             # fault lands: the crash must hit real per-server state
             sur.ensure_live(district, reason="churn")
         killed = server.kill_all()
+        n_killed = sum(t.chunks for t in killed)   # a filler block: its chunks
         if hard:
             server.fail()
         else:
             server.power_off()
         self._down_servers.add(server_name)
         self.log.server_crashes += 1
-        self.log.tasks_killed += len(killed)
-        self.log.note(self.mw.engine.now, f"crash {server_name} ({len(killed)} tasks)")
+        self.log.tasks_killed += n_killed
+        self.log.note(self.mw.engine.now, f"crash {server_name} ({n_killed} tasks)")
         self._note("fault.server_crash", server=server_name, district=district,
-                   tasks_killed=len(killed), hard=hard)
+                   tasks_killed=n_killed, hard=hard)
         return killed, district
 
     def salvage_tasks(self, killed, district: int, progress: str = "preserve",

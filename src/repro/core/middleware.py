@@ -640,7 +640,7 @@ class DF3Middleware:
             for task in list(server.running_tasks):
                 kind = task.metadata.get("kind")
                 if kind == "filler":
-                    server.preempt(task.task_id)
+                    server.preempt(task.task_id)    # a block goes whole
                 elif kind == "cloud" and task.metadata["request"].preemptible:
                     t = server.preempt(task.task_id)
                     creq = t.metadata["request"]
@@ -661,7 +661,7 @@ class DF3Middleware:
                     )
                     * self.config.filler_chunk_s,
                     cores=1,
-                    on_complete=lambda t, now: self._filler_done(),
+                    on_complete=self._filler_chunk_done,
                     metadata={"kind": "filler"},
                 )
                 if not server.submit(chunk):
@@ -670,17 +670,22 @@ class DF3Middleware:
                     self.obs.counter("filler_injected").inc()
 
     def _inject_filler_vec(self) -> None:
-        """Vector kernel: one batched submit per heat-wanted server.
+        """Vector kernel: one filler block per heat-wanted server.
 
         The scalar loop submits chunk by chunk, each paying a sync and a
         completion cancel/reschedule; a powered-on server with ``f`` free
-        cores accepts exactly ``f`` one-core chunks, so pre-building the
-        batch consumes the same filler ids and :meth:`ComputeServer.
-        submit_batch` reserves the sequence numbers the per-chunk path would
-        have burned — the surviving completion event is bit-identical.
+        cores accepts exactly ``f`` one-core chunks.  Here those ``f`` chunks
+        are one block, a :class:`Task` with ``chunks=f``: it consumes the
+        ``f`` filler ids the chunks would have taken, and
+        :meth:`ComputeServer.submit_batch` reserves the sequence numbers the
+        per-chunk path would have burned, so the surviving completion event
+        is bit-identical.  Every later sync, completion reschedule and
+        eviction then walks one entry instead of ``f`` (DESIGN.md §2.13).
         """
         chunk_s = self.config.filler_chunk_s
         obs_active = self.obs.active
+        mk = Task.prevalidated
+        done = self._filler_chunk_done
         for server in self.smartgrid.heat_wanted_servers():
             free = server.free_cores
             if free <= 0:
@@ -688,22 +693,15 @@ class DF3Middleware:
             work = (
                 server.core_rate_cycles_per_s() or server.spec.ladder.top.freq_ghz * _GHZ
             ) * chunk_s
-            mk = Task.prevalidated
-            done = self._filler_chunk_done
-            ids = self._filler_ids
-            tasks = [
-                mk(f"filler-{next(ids)}", work, 1, done, {"kind": "filler"})
-                for _ in range(free)
-            ]
-            accepted = server.submit_batch(tasks)
+            first = next(self._filler_ids)
+            self._filler_ids = itertools.count(first + free)
+            accepted = server.submit_batch(
+                [mk(f"filler-{first}", work, 1, done, {"kind": "filler"}, free)])
             if obs_active and accepted:
                 self.obs.counter("filler_injected").inc(accepted)
 
     def _filler_chunk_done(self, task: Task, now: float) -> None:
-        self._filler_done()
-
-    def _filler_done(self) -> None:
-        self.filler_completed += 1
+        self.filler_completed += task.chunks
 
     # ------------------------------------------------------------------ #
     # the three flows

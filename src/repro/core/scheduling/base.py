@@ -202,20 +202,31 @@ class BaseScheduler(ABC):
         if ordered is None:
             ordered = self._ordered(workers)
         for w in ordered:
-            if not w.enabled:
+            if not w.enabled or not self._evict_filler(w, req.cores):
                 continue
-            filler = [t for t in w.running_tasks if t.metadata.get("kind") == "filler"]
-            filler_cores = sum(t.cores for t in filler)
-            if w.free_cores + filler_cores < req.cores:
-                continue
-            for t in filler:
-                if w.free_cores >= req.cores:
-                    break
-                w.preempt(t.task_id)
-            if w.free_cores >= req.cores and w.submit(self._make_task(req, kind)):
+            if w.submit(self._make_task(req, kind)):
                 self._note_placed(req, kind, w.name)
                 return True
         return False
+
+    @staticmethod
+    def _evict_filler(worker: ComputeServer, cores: int) -> bool:
+        """Preempt filler on ``worker`` until ``cores`` are free.
+
+        Chunks go in running order, only as many as needed; a filler block
+        gives up just the chunks that one-by-one preempts would have taken.
+        Returns False, evicting nothing, when all its filler is not enough.
+        """
+        filler = [t for t in worker.running_tasks
+                  if t.metadata.get("kind") == "filler"]
+        if worker.free_cores + sum(t.cores * t.chunks for t in filler) < cores:
+            return False
+        for t in filler:
+            need = cores - worker.free_cores
+            if need <= 0:
+                break
+            worker.preempt(t.task_id, chunks=min(t.chunks, -(-need // t.cores)))
+        return True
 
     def _on_task_complete(self, req, kind: str, now: float) -> None:
         if kind == "edge":

@@ -59,6 +59,12 @@ class Task:
     cores: cores occupied while running.
     on_complete: callback ``(task, now)`` invoked at completion.
     metadata: free-form tags used by schedulers (flow kind, deadline, ...).
+    chunks: identical copies this one entry stands for.  A filler *block*
+        (``chunks > 1``) is ``chunks`` interchangeable filler chunks started
+        together: ``work_cycles``, ``remaining_cycles`` and ``cores`` are per
+        chunk, the block occupies ``cores × chunks`` cores, and it completes
+        (one ``on_complete`` call) when its chunks would.  Blocks start
+        through :meth:`ComputeServer.submit_batch` (DESIGN.md §2.13).
     """
 
     task_id: str
@@ -66,6 +72,7 @@ class Task:
     cores: int = 1
     on_complete: Optional[Callable[["Task", float], None]] = None
     metadata: dict = field(default_factory=dict)
+    chunks: int = 1
 
     state: TaskState = TaskState.PENDING
     remaining_cycles: float = field(default=-1.0)
@@ -78,17 +85,20 @@ class Task:
             raise ValueError(f"work_cycles must be > 0, got {self.work_cycles}")
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
+        if self.chunks < 1:
+            raise ValueError(f"chunks must be >= 1, got {self.chunks}")
         if self.remaining_cycles < 0:
             self.remaining_cycles = float(self.work_cycles)
 
     @classmethod
     def prevalidated(cls, task_id: str, work_cycles: float, cores: int,
-                     on_complete, metadata: dict) -> "Task":
+                     on_complete, metadata: dict, chunks: int = 1) -> "Task":
         """Fast constructor for hot loops that build tasks in bulk.
 
         Produces the same object state as ``Task(...)`` but skips the
         dataclass argument plumbing and ``__post_init__`` validation — the
-        caller guarantees ``work_cycles > 0`` and ``cores >= 1``.
+        caller guarantees ``work_cycles > 0``, ``cores >= 1`` and
+        ``chunks >= 1``.
         """
         t = object.__new__(cls)
         t.task_id = task_id
@@ -96,6 +106,7 @@ class Task:
         t.cores = cores
         t.on_complete = on_complete
         t.metadata = metadata
+        t.chunks = chunks
         t.state = TaskState.PENDING
         t.remaining_cycles = float(work_cycles)
         t.submitted_at = -1.0
@@ -144,9 +155,10 @@ class ComputeServer:
         self._enabled = True
         self._failed = False
         self._running: Dict[str, Task] = {}
-        # cached Σ task.cores, maintained on every change.  The cache is only
-        # *read* when the engine runs with incremental accounting (the vector
-        # kernel); the scalar reference recomputes from the running-task map.
+        # cached Σ task.cores × task.chunks, maintained on every change.  The
+        # cache is only *read* when the engine runs with incremental accounting
+        # (the vector kernel); the scalar reference recomputes from the
+        # running-task map.
         self._busy_cores = 0
         self._incremental = bool(getattr(engine, "incremental_accounting", False))
         # memoised power_w()/core_rate values, read only under incremental
@@ -196,7 +208,7 @@ class ComputeServer:
         """
         if self._incremental:
             return self._busy_cores
-        return sum(t.cores for t in self._running.values())
+        return sum(t.cores * t.chunks for t in self._running.values())
 
     @property
     def idle(self) -> bool:
@@ -268,17 +280,19 @@ class ComputeServer:
         rate = self.core_rate_cycles_per_s()
         if rate > 0:
             # same fold order as `self.cycles_executed += executed` per task;
-            # rem - rem == +0.0 exactly, so the branch matches min()+subtract
+            # rem - rem == +0.0 exactly, so the branch matches min()+subtract.
+            # A block folds its step once per chunk, as its chunks would.
             acc = self.cycles_executed
             for t in self._running.values():
                 step = rate * t.cores * dt
                 rem = t.remaining_cycles
                 if step < rem:
                     t.remaining_cycles = rem - step
-                    acc += step
                 else:
                     t.remaining_cycles = 0.0
-                    acc += rem
+                    step = rem
+                for _ in range(t.chunks):
+                    acc += step
             self.cycles_executed = acc
         self._last_sync = now
 
@@ -313,11 +327,11 @@ class ComputeServer:
                 finished.append(t)
         for t in finished:
             del self._running[t.task_id]
-            self._busy_cores -= t.cores
+            self._busy_cores -= t.cores * t.chunks
             t.state = TaskState.COMPLETED
             t.remaining_cycles = 0.0
             t.completed_at = now
-            self.completed_count += 1
+            self.completed_count += t.chunks
         if finished:
             self._power_cache = None
         self._reschedule_completion()
@@ -350,17 +364,18 @@ class ComputeServer:
         return True
 
     def submit_batch(self, tasks: List[Task]) -> int:
-        """Start as many of ``tasks`` as fit, as one batch; returns the count.
+        """Start as many of ``tasks`` as fit, as one batch.
 
-        Byte-equivalent to calling :meth:`submit` sequentially — the same
+        Returns the number of chunks started (one per plain task).
+        Byte-equivalent to calling :meth:`submit` chunk by chunk — the same
         prefix of ``tasks`` is accepted, the running-task order is the same,
         and the engine sees the same live completion event with the same
         ``(time, priority, seq)`` — but with one sync and one completion
-        reschedule instead of one per task.  The k−1 intermediate sequence
+        reschedule instead of one per chunk.  The k−1 intermediate sequence
         numbers the sequential path would have burned on immediately
         re-cancelled completion events are reserved explicitly, which is what
         keeps the two paths' event streams identical (and spares the heap
-        k−1 dead entries).
+        k−1 dead entries).  A block is accepted whole or not at all.
         """
         self.sync()
         accepted = 0
@@ -378,31 +393,48 @@ class ComputeServer:
                     f"task {task.task_id!r} needs {task.cores} cores; "
                     f"{self.name} has {self.spec.n_cores}"
                 )
-            if not enabled or task.cores > free:
+            need = task.cores * task.chunks
+            if not enabled or need > free:
                 break
             task.state = TaskState.RUNNING
             task.submitted_at = now if task.submitted_at < 0 else task.submitted_at
             task.server_name = name
             self._running[task.task_id] = task
-            self._busy_cores += task.cores
-            free -= task.cores
-            accepted += 1
+            self._busy_cores += need
+            free -= need
+            accepted += task.chunks
         if accepted:
             self._power_cache = None
             self.engine.reserve_seq(accepted - 1)
             self._reschedule_completion()
         return accepted
 
-    def preempt(self, task_id: str) -> Task:
-        """Stop a running task, preserving its remaining work for resubmission."""
+    def preempt(self, task_id: str, chunks: Optional[int] = None) -> Task:
+        """Stop a running task, preserving its remaining work for resubmission.
+
+        On a block, ``chunks`` stops only that many of its chunks (default:
+        all).  A partial preempt leaves the block running with the rest and
+        returns it.  Stopping ``n`` chunks reserves the n−1 sequence numbers
+        their one-by-one preempts would have burned, as :meth:`submit_batch`
+        does.
+        """
         self.sync()
         try:
-            task = self._running.pop(task_id)
+            task = self._running[task_id]
         except KeyError:
             raise KeyError(f"task {task_id!r} not running on {self.name}") from None
-        task.state = TaskState.PREEMPTED
-        self._busy_cores -= task.cores
+        n = task.chunks if chunks is None else chunks
+        if not 1 <= n <= task.chunks:
+            raise ValueError(f"cannot preempt {n} of {task.chunks} chunks of {task_id!r}")
+        if n == task.chunks:
+            del self._running[task_id]
+            task.state = TaskState.PREEMPTED
+        else:
+            task.chunks -= n
+        self._busy_cores -= task.cores * n
         self._power_cache = None
+        if n > 1:
+            self.engine.reserve_seq(n - 1)
         self._reschedule_completion()
         return task
 
@@ -419,7 +451,7 @@ class ComputeServer:
         for t in tasks:
             del self._running[t.task_id]
             t.state = TaskState.PREEMPTED
-            self._busy_cores -= t.cores
+            self._busy_cores -= t.cores * t.chunks
         if tasks:
             self._power_cache = None
             self._reschedule_completion()

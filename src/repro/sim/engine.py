@@ -196,12 +196,13 @@ class Engine:
         scalar equivalents would have consumed on intermediate, immediately
         cancelled events.  The surviving event then carries the same
         ``(time, priority, seq)`` triple either way, which is what keeps the
-        vectorised kernel byte-identical to the scalar one.
+        vectorised kernel byte-identical to the scalar one.  O(1): the
+        counter is re-seeded past the reserved range.
         """
         if n < 0:
             raise SimulationError(f"cannot reserve {n} sequence numbers")
-        for _ in range(n):
-            next(self._seq)
+        if n:
+            self._seq = itertools.count(next(self._seq) + n)
 
     def add_process(self, name: str, period: float, fn: Callable[[float, float], None],
                     offset: float = 0.0, group: Optional[str] = None) -> Process:

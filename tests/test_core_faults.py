@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs as O
 from repro.core.faults import FaultInjector
 from repro.core.middleware import DF3Middleware, MiddlewareConfig
 from repro.core.requests import CloudRequest, EdgeRequest, RequestStatus
@@ -292,6 +293,31 @@ def test_hard_crash_is_not_resurrected_by_the_regulator():
     fi.recover_server(name)
     assert mw.clusters[0].worker(name).enabled
     assert not mw.clusters[0].worker(name).failed
+
+
+def test_crash_of_filler_loaded_server_counts_chunks_under_both_kernels():
+    """The vector kernel's filler block is killed as the chunks it stands
+    for: return value, log, note text and trace argument match the scalar
+    kernel's chunk-by-chunk filler."""
+    seen = {}
+    for kernel in ("scalar", "vector"):
+        obs = O.Observability(tracer=O.Tracer())
+        mw = DF3Middleware(MiddlewareConfig(
+            n_districts=2, buildings_per_district=1, rooms_per_building=2,
+            dc_nodes=2, seed=3, start_time=WINTER, kernel=kernel), obs=obs)
+        mw.run_until(WINTER + HOUR)     # winter ticks fill idle cores
+        victim = mw.clusters[0].workers[0]
+        busy = victim.busy_cores
+        assert busy > 1 and all(t.metadata["kind"] == "filler"
+                                for t in victim.running_tasks)
+        fi = FaultInjector(mw)
+        n = fi.crash_server(victim.name)
+        crash = next(r for r in obs.tracer.records
+                     if r.name == "fault.server_crash")
+        seen[kernel] = (n, fi.log.tasks_killed, fi.log.events[-1],
+                        crash.args["tasks_killed"])
+        assert seen[kernel][:2] == (busy, busy)
+    assert seen["vector"] == seen["scalar"]
 
 
 # --------------------------------------------------------------------------- #

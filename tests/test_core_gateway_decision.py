@@ -11,7 +11,7 @@ from repro.core.scheduling.base import SaturationPolicy
 from repro.core.scheduling.shared import SharedWorkersScheduler
 from repro.hardware.cpu import DVFSLadder, PState
 from repro.hardware.datacenter import Datacenter
-from repro.hardware.server import ComputeServer, ServerSpec
+from repro.hardware.server import ComputeServer, ServerSpec, Task
 from repro.network.internet import WANLink, WANProfile
 from repro.network.link import Link
 from repro.network.lowpower import SIGFOX, ZIGBEE
@@ -198,3 +198,30 @@ def test_decision_prefers_horizontal_over_vertical():
     eng.run_until(100.0)
     assert req.status is RequestStatus.COMPLETED
     assert req.executed_on.startswith("w")  # peer's worker
+
+
+def test_decision_wait_estimate_counts_filler_block_cores():
+    """A filler block frees ``cores × chunks`` when it ends, like its chunks."""
+    estimates = []
+    for blocks in (False, True):
+        eng = Engine()
+        sched, ds, _ = decision_setup(eng, cores=4)
+        worker = sched.cluster.workers[0]
+        # a 1-core blocker for 100 s, then 3 one-core filler chunks for 10 s
+        sched.submit_cloud(CloudRequest(cycles=100 * GHZ, time=0.0,
+                                        preemptible=False))
+        if blocks:
+            filler = [Task("f", 10 * GHZ, chunks=3, metadata={"kind": "filler"})]
+        else:
+            filler = [Task(f"f{i}", 10 * GHZ, metadata={"kind": "filler"})
+                      for i in range(3)]
+        assert worker.submit_batch(filler) == 3
+        assert worker.free_cores == 0
+        # 4 cores: the filler alone cannot make room, so DECISION estimates;
+        # they are free once the blocker ends at 100 s
+        req = EdgeRequest(cycles=GHZ, time=0.0, deadline_s=500.0, cores=4,
+                          source="district-0/building-0")
+        estimates.append(ds._queue_wait_estimate_s(req, sched))
+        sched.submit_edge(req)
+        assert ds.decisions[Decision.QUEUE] == 1
+    assert estimates == [100.0, 100.0]

@@ -40,6 +40,8 @@ def test_task_validation():
         Task("t", work_cycles=0.0)
     with pytest.raises(ValueError):
         Task("t", work_cycles=10.0, cores=0)
+    with pytest.raises(ValueError):
+        Task("t", work_cycles=10.0, chunks=0)
 
 
 def test_spec_validation():
@@ -135,6 +137,21 @@ def test_preempt_preserves_remaining_work(engine):
     srv2.submit(task)
     engine.run_until(100.0)
     assert done == [pytest.approx(10.0)]
+
+
+def test_block_starts_whole_and_preempts_chunk_by_count(engine):
+    srv = ComputeServer("s", simple_spec(n_cores=4), engine)
+    assert srv.submit_batch([Task("big", GHZ, chunks=5)]) == 0   # all or nothing
+    assert srv.submit_batch([Task("f", 10 * GHZ, chunks=3)]) == 3
+    assert srv.busy_cores == 3
+    block = srv.preempt("f", chunks=2)
+    assert block.state is TaskState.RUNNING and block.chunks == 1
+    assert srv.busy_cores == 1 and srv.running_tasks == [block]
+    for bad in (0, 2):
+        with pytest.raises(ValueError):
+            srv.preempt("f", chunks=bad)
+    assert srv.preempt("f").state is TaskState.PREEMPTED
+    assert srv.idle and srv.busy_cores == 0
 
 
 def test_preempt_unknown_raises(engine):

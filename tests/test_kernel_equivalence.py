@@ -22,21 +22,27 @@ tick.  This module holds that promise under fire:
 * **caching regressions** — ``all_servers`` is built once at construction,
   and the fast constructors (``Task.prevalidated``, batched submits,
   vectorised P-state lookups, batched comfort rows) equal their reference
-  counterparts exactly.
+  counterparts exactly;
+* **filler blocks** — a server driven with one block per filler batch stays
+  in lockstep with one driven chunk by chunk: same live events, same next
+  sequence number, bitwise-equal accounting after every random step.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.middleware import MiddlewareConfig
 from repro.core.resilience.config import ResilienceConfig
-from repro.core.scheduling.base import SaturationPolicy
+from repro.core.scheduling.base import BaseScheduler, SaturationPolicy
 from repro.experiments.common import mid_month_start, small_city
-from repro.hardware.server import Task
+from repro.hardware.qrad import QRAD_SPEC
+from repro.hardware.server import ComputeServer, Task
+from repro.sim.engine import Engine
 from repro.thermal import budget
 from repro.thermal.comfort import ComfortTracker
 from repro.thermal.fused import FusedCityThermal
@@ -364,13 +370,165 @@ def test_task_prevalidated_matches_reference_constructor():
     def done(t, now):
         return None
 
-    ref = Task(task_id="t-1", work_cycles=3.7e9, cores=2, on_complete=done,
-               metadata={"kind": "filler"})
-    fast = Task.prevalidated("t-1", 3.7e9, 2, done, {"kind": "filler"})
-    for f in ("task_id", "work_cycles", "cores", "on_complete", "metadata",
-              "state", "remaining_cycles", "submitted_at", "completed_at",
-              "server_name"):
-        assert getattr(ref, f) == getattr(fast, f), f
+    for chunks in (1, 3):
+        ref = Task(task_id="t-1", work_cycles=3.7e9, cores=2, on_complete=done,
+                   metadata={"kind": "filler"}, chunks=chunks)
+        fast = Task.prevalidated("t-1", 3.7e9, 2, done, {"kind": "filler"},
+                                 chunks)
+        for f in ("task_id", "work_cycles", "cores", "on_complete", "metadata",
+                  "chunks", "state", "remaining_cycles", "submitted_at",
+                  "completed_at", "server_name"):
+            assert getattr(ref, f) == getattr(fast, f), (chunks, f)
+
+
+# --------------------------------------------------------------------------- #
+# filler blocks: one entry with a chunk count equals its chunks
+# --------------------------------------------------------------------------- #
+class _FillerSide:
+    """One Q.rad on its own engine, given filler chunk by chunk or as blocks.
+
+    The chunk side is the scalar kernel's representation; it alternates
+    sequential :meth:`ComputeServer.submit` calls with one
+    :meth:`ComputeServer.submit_batch` per batch, which must be the same.
+    """
+
+    def __init__(self, blocks: bool):
+        self.blocks = blocks
+        self.engine = Engine()
+        self.engine.incremental_accounting = True
+        self.server = ComputeServer("q", QRAD_SPEC, self.engine)
+        self.batches = {}                   # batch number → its entry ids
+        self.filler_done = Counter()        # completion time → chunks
+        self.paying_done = []               # (task id, completion time)
+
+    def _filler_cb(self, task, now):
+        self.filler_done[now] += task.chunks
+
+    def _paying_cb(self, task, now):
+        self.paying_done.append((task.task_id, now))
+
+    def filler_batch(self, b: int, n: int, cores: int, work: float) -> int:
+        def mk(task_id, chunks):
+            return Task(task_id, work, cores=cores, on_complete=self._filler_cb,
+                        metadata={"kind": "filler"}, chunks=chunks)
+
+        if self.blocks:
+            self.batches[b] = [f"f{b}"]
+            return self.server.submit_batch([mk(f"f{b}", n)])
+        self.batches[b] = [f"f{b}.{i}" for i in range(n)]
+        tasks = [mk(tid, 1) for tid in self.batches[b]]
+        if b % 2:
+            return self.server.submit_batch(tasks)
+        return sum(self.server.submit(t) for t in tasks)
+
+    def paying(self, task_id: str, cores: int, work: float) -> bool:
+        """A paying placement as the scheduler makes it: evict, then submit."""
+        task = Task(task_id, work, cores=cores, on_complete=self._paying_cb,
+                    metadata={"kind": "cloud"})
+        return (BaseScheduler._evict_filler(self.server, cores)
+                and self.server.submit(task))
+
+    def live_chunks(self, b: int) -> int:
+        running = {t.task_id: t for t in self.server.running_tasks}
+        return sum(running[i].chunks for i in self.batches[b] if i in running)
+
+    def filler_chunks(self) -> int:
+        return sum(t.chunks for t in self.server.running_tasks
+                   if t.metadata["kind"] == "filler")
+
+    def preempt_batch(self, b: int) -> None:
+        running = {t.task_id for t in self.server.running_tasks}
+        for task_id in self.batches[b]:
+            if task_id in running:
+                self.server.preempt(task_id)
+
+    def state(self) -> dict:
+        s, eng = self.server, self.engine
+        recomputed = sum(t.cores * t.chunks for t in s.running_tasks)
+        assert s._busy_cores == recomputed == s.busy_cores
+        probe = eng.schedule(0.0, lambda: None)   # reads the next seq; both
+        probe.cancel()                            # sides burn it alike
+        return {
+            "live_events": sorted((t, p, q) for t, p, q, ev in eng._heap
+                                  if not ev.cancelled),
+            "next_seq": probe.seq,
+            "cycles_executed": s.cycles_executed,
+            "energy_j": s.energy_j,
+            "busy_core_seconds": s.busy_core_seconds,
+            "completed_count": s.completed_count,
+            "busy_cores": s.busy_cores,
+            # running entries expanded to chunks, in running order
+            "chunks": [(t.remaining_cycles, t.cores, t.metadata["kind"])
+                       for t in s.running_tasks for _ in range(t.chunks)],
+            "filler_done": sorted(self.filler_done.items()),
+            "paying_done": list(self.paying_done),
+        }
+
+
+_FILLER_OPS = ("filler", "paying", "cap", "preempt_batch", "preempt_kind",
+               "kill", "gap")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_filler_block_equals_its_chunks_at_the_server(seed):
+    rng = random.Random(seed)
+    ref, blk = sides = (_FillerSide(blocks=False), _FillerSide(blocks=True))
+    n_batches = n_paying = 0
+    ops = Counter()
+    for step in range(300):
+        op = rng.choices(_FILLER_OPS, weights=(5, 3, 1, 2, 0.5, 0.3, 5))[0]
+        if op == "filler":
+            cores = rng.choice((1, 1, 1, 2))
+            free = ref.server.free_cores
+            if free < cores:
+                continue
+            n = rng.randint(1, free // cores)
+            work = rng.uniform(1.0, 3.0) * 1e9 * rng.uniform(60.0, 1200.0)
+            got = [side.filler_batch(n_batches, n, cores, work) for side in sides]
+            assert got == [n, n]
+            n_batches += 1
+        elif op == "paying":
+            cores = rng.randint(1, 6)
+            work = rng.uniform(1e9, 2e12)
+            before = blk.filler_chunks()
+            got = [side.paying(f"p{n_paying}", cores, work) for side in sides]
+            assert got[0] == got[1]
+            if before - blk.filler_chunks() >= 2:
+                ops["multi_chunk_eviction"] += 1
+            n_paying += 1
+        elif op == "cap":
+            index = rng.randrange(len(QRAD_SPEC.ladder))
+            for side in sides:
+                side.server.set_freq_cap(index)
+        elif op == "preempt_batch":
+            live = [b for b in ref.batches if ref.live_chunks(b)]
+            if not live:
+                continue
+            b = rng.choice(live)
+            assert blk.live_chunks(b) == ref.live_chunks(b)
+            if blk.live_chunks(b) >= 2:
+                ops["multi_chunk_preempt"] += 1
+            for side in sides:
+                side.preempt_batch(b)
+        elif op in ("preempt_kind", "kill"):
+            got = [
+                sum(t.chunks for t in (side.server.preempt_kind("filler")
+                                       if op == "preempt_kind"
+                                       else side.server.kill_all()))
+                for side in sides
+            ]
+            assert got[0] == got[1]
+        else:
+            gap = rng.choice((rng.uniform(0.0, 5.0), rng.uniform(0.0, 2000.0)))
+            for side in sides:
+                side.engine.run_until(side.engine.now + gap)
+        ops[op] += 1
+        assert blk.state() == ref.state(), (seed, step, op)
+    # the walk really exercised blocks: every step kind, multi-chunk
+    # preempts and evictions, and filler completions
+    assert all(ops[op] >= 2 for op in _FILLER_OPS), ops
+    assert ops["multi_chunk_preempt"] >= 3 and ops["multi_chunk_eviction"] >= 3, ops
+    assert sum(ref.filler_done.values()) > 0
 
 
 def test_comfort_add_rows_equals_sequential_adds():

@@ -137,3 +137,41 @@ def test_pending_counts_queue():
     assert eng.pending == 2
     eng.run_until(1.5)
     assert eng.pending == 1
+
+
+def test_reserve_seq_zero_is_a_no_op():
+    eng = Engine()
+    first = eng.schedule(1.0, lambda: None).seq
+    eng.reserve_seq(0)
+    assert eng.schedule(1.0, lambda: None).seq == first + 1
+    assert eng.pending == 2
+
+
+def test_reserve_seq_skips_exactly_n():
+    eng = Engine()
+    next_seq = eng.schedule(1.0, lambda: None).seq + 1
+    for n in (1, 2, 7, 100_000):
+        eng.reserve_seq(n)
+        seq = eng.schedule(1.0, lambda: None).seq
+        assert seq == next_seq + n
+        next_seq = seq + 1
+    eng.reserve_seq()                       # default: one
+    assert eng.schedule(1.0, lambda: None).seq == next_seq + 1
+
+
+def test_reserve_seq_keeps_insertion_order_of_ties():
+    eng = Engine()
+    order = []
+    eng.schedule(1.0, lambda: order.append("a"))
+    eng.reserve_seq(5)
+    eng.schedule(1.0, lambda: order.append("b"))
+    eng.run_until(1.0)
+    assert order == ["a", "b"]
+    assert eng.events_executed == 2
+
+
+def test_reserve_seq_negative_raises():
+    eng = Engine()
+    with pytest.raises(SimulationError):
+        eng.reserve_seq(-1)
+    assert eng.schedule(1.0, lambda: None).seq == 0   # nothing consumed
