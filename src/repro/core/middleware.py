@@ -212,9 +212,10 @@ class DF3Middleware:
         self._bank_entries: List[Tuple[QRad, int]] = []
         self._district_qrad_idx: Dict[int, List[int]] = {}
         self._district_boilers: Dict[int, List[DigitalBoiler]] = {}
-        #: (bank version, {qrad name → heat wanted}) for _qrad_wanted_map
-        self._wanted_cache: Tuple[int, Dict[str, bool]] = (-1, {})
-        self._bank_entry_names: Optional[Tuple[str, ...]] = None
+        #: Q.rad name → bank index (vector kernel only)
+        self._bank_index: Dict[str, int] = {}
+        #: (bank version, heat-wanted flag per bank index) for _worker_priority
+        self._wanted_cache: Tuple[int, List[bool]] = (-1, [])
 
         for d in range(cfg.n_districts):
             cluster = Cluster(ClusterConfig(name=f"district-{d}", district=d))
@@ -249,8 +250,10 @@ class DF3Middleware:
                     self._room_server[room.name] = qrad
                     self.smartgrid.register(qrad, reg)
                     if bank is not None:
-                        self._district_qrad_idx[d].append(bank.attach(reg))
+                        i = bank.attach(reg)
+                        self._district_qrad_idx[d].append(i)
                         self._bank_entries.append((qrad, d))
+                        self._bank_index[qrad.name] = i
                     cluster.add_worker(qrad, dedicated_edge=dedicated_left > 0)
                     dedicated_left -= 1
                 self.collectives[bname] = CollectiveController(building_regs)
@@ -428,13 +431,21 @@ class DF3Middleware:
     # placement priority: servers whose room wants heat go first
     # ------------------------------------------------------------------ #
     def _worker_priority(self, server) -> tuple:
-        if self._bank is not None:
-            wanted = self._qrad_wanted_map().get(server.name)
-            if wanted is None:  # boiler: tank state changes continuously
+        bank = self._bank
+        if bank is not None:
+            i = self._bank_index.get(server.name)
+            if i is None:  # boiler: tank state changes continuously
                 wanted = any(
                     b.name == server.name and b.heat_demand_w() > 0
                     for b in self.boilers
                 )
+            else:
+                # placements query every candidate, but the flags only change
+                # when the bank mutates: read them once per bank version
+                if self._wanted_cache[0] != bank.version:
+                    self._wanted_cache = (bank.version,
+                                          bank.heat_wanted_mask().tolist())
+                wanted = self._wanted_cache[1][i]
             return (0 if wanted else 1, -server.free_cores)
         room = self._server_room.get(server.name)
         if room is None:  # boiler: wants heat while the tank has headroom
@@ -444,27 +455,6 @@ class DF3Middleware:
         else:
             wanted = self.regulators[room].heat_wanted
         return (0 if wanted else 1, -server.free_cores)
-
-    def _qrad_wanted_map(self) -> Dict[str, bool]:
-        """Per-Q.rad heat-wanted flags, cached against the bank's version.
-
-        Placement priorities query the flag for every candidate worker of
-        every placement; the underlying fractions only change when the bank
-        mutates (PI pass, demand-response scaling), so one dict rebuild per
-        version replaces thousands of per-query bank reads.  Values equal
-        :attr:`HeatRegulator.heat_wanted` by construction.
-        """
-        bank = self._bank
-        if self._wanted_cache[0] != bank.version:
-            names = self._bank_entry_names
-            if names is None:
-                names = self._bank_entry_names = tuple(
-                    e[0].name for e in self._bank_entries)
-            self._wanted_cache = (
-                bank.version,
-                dict(zip(names, bank.heat_wanted_mask().tolist())),
-            )
-        return self._wanted_cache[1]
 
     # ------------------------------------------------------------------ #
     # the periodic tick: regulation, migration, filler, thermal stepping
@@ -567,8 +557,9 @@ class DF3Middleware:
         """Vector kernel stage 5+6: one fused RC step for the whole city.
 
         Per-building comfort samples and the room-order useful-heat ledger
-        walk are preserved exactly (same accumulators, same fold order), so
-        the resulting statistics are bitwise those of the scalar loop.
+        fold are preserved exactly (same accumulators, same terms, same fold
+        order), so the resulting statistics are bitwise those of the scalar
+        loop.
         """
         fused = self._fused_thermal
         p_heat = fused.step(now, dt)
@@ -583,11 +574,9 @@ class DF3Middleware:
         else:
             for sl in fused.slices:
                 self.comfort.add(dt, fused.t_air[sl], setpoints[sl], month=month)
-        wanted = self._bank.heat_wanted_mask().tolist()
-        add_useful = self.ledger.add_useful_heat
-        for p, w in zip(p_heat, wanted):
-            if p > 0 and w:
-                add_useful(p * dt)
+        p = np.array(p_heat)
+        self.ledger.add_useful_heat_many(
+            (p * dt)[(p > 0) & self._bank.heat_wanted_mask()])
         hod = self.cal.hour_of_day(now)
         for boiler in self.boilers:
             boiler.thermal_step(now, dt, hod)

@@ -17,9 +17,10 @@ Vector fast path: when the fleet's regulators live in a
 :meth:`SmartGridManager.attach_bank`), the per-tick fleet signals are
 computed from the bank's arrays instead of walking ``(server, regulator)``
 pairs in Python.  Float sums that land in logged outputs are performed as
-sequential left-folds over the elementwise-computed products — never as
-numpy reductions, whose pairwise association would change low-order bits —
-so the vector path stays byte-identical to the scalar one (DESIGN.md §2.13).
+sequential left-folds (``np.add.accumulate``) over the elementwise-computed
+products — never as ``np.sum``/``np.add.reduce``, whose pairwise association
+would change low-order bits — so the vector path stays byte-identical to the
+scalar one (DESIGN.md §2.13).
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class SmartGridManager:
         #: surrogate kernel only: False entries are quiesced (their district
         #: is aggregate-modelled) — excluded from actuation and filler
         self._actuation_mask: Optional[np.ndarray] = None
+        #: ascending indices of the mask's True entries (None: no mask)
+        self._actuation_idx: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     def register(self, server, regulator) -> None:
@@ -117,13 +120,16 @@ class SmartGridManager:
     def authorized_power_w(self) -> float:
         """Power the current heat demand authorises across the fleet (W)."""
         if self._bank is not None:
-            # elementwise products are bit-identical to the scalar terms; the
-            # sequential sum over the list matches the scalar left-fold
-            p = sum((self._bank.power_fraction * self._pmax_w).tolist())
+            # elementwise products are bit-identical to the scalar terms, and
+            # np.add.accumulate is the scalar left fold (its last partial)
+            terms = self._bank.power_fraction * self._pmax_w
+            p = float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
         else:
-            p = sum(
-                e.regulator.power_fraction * e.server.spec.p_max_w for e in self._fleet
-            )
+            # a loop, not sum(): builtin sum() of floats is compensated from
+            # Python 3.12 on, and the vector fold above is strictly sequential
+            p = 0.0
+            for e in self._fleet:
+                p += e.regulator.power_fraction * e.server.spec.p_max_w
         p += sum(min(b.heat_demand_w(), b.spec.p_max_w) for b in self._boilers)
         return p
 
@@ -168,13 +174,15 @@ class SmartGridManager:
         ``None`` clears the mask.  Fleet-level signals (authorised power,
         capacity logs) intentionally keep covering the whole fleet — they are
         aggregate views, and the bank rows of masked districts carry the
-        aggregate command.
+        aggregate command.  The mask's indices are cached here, so a caller
+        that changes the mask passes the new one in again.
         """
         if mask is not None and len(mask) != len(self._fleet):
             raise ValueError(
                 f"mask has {len(mask)} entries, fleet has {len(self._fleet)}"
             )
         self._actuation_mask = mask
+        self._actuation_idx = None if mask is None else np.flatnonzero(mask)
 
     def set_grid_cap(self, cap_w: Optional[float]) -> None:
         """Apply (or clear) a demand-response power cap from the operator."""
@@ -231,16 +239,22 @@ class SmartGridManager:
         event stream (DESIGN.md §2.13).
         """
         bank = self._bank
-        act = self._actuation_mask
         fleet = self._fleet
-        wanted = bank.heat_wanted_mask().tolist()
-        # masked entries take neither branch, so iterating only the True
-        # indices (ascending, same visit order) is behaviour-identical and
-        # keeps the per-tick loop O(live) under the surrogate tier
-        indices = (range(len(fleet)) if act is None
-                   else np.flatnonzero(act).tolist())
+        idx = self._actuation_idx
+        pf, min_on = bank.power_fraction, self._min_on
+        wanted = bank.heat_wanted_mask()
+        if idx is None:
+            indices = range(len(fleet))
+        else:
+            # masked entries take neither branch, so visiting only the
+            # unmasked ones (ascending, same visit order) is behaviour-
+            # identical and keeps the tick O(live) under the surrogate tier
+            indices = idx.tolist()
+            pf, min_on, wanted = pf[idx], min_on[idx], wanted[idx]
+        wanted = wanted.tolist()
         # scalar: max(power_fraction, min_on_fraction) per regulator
-        budget = np.maximum(bank.power_fraction, self._min_on)
+        budget = np.maximum(pf, min_on)
+        caps = None
         if self._shared_scales is not None:
             # index_for_power_budget = largest i with scale[i] <= budget+1e-12
             # (scales ascend); searchsorted(side="right") counts exactly the
@@ -250,23 +264,16 @@ class SmartGridManager:
                                 side="right") - 1,
                 0,
             ).tolist()
-            for i in indices:
-                server = fleet[i].server
-                if wanted[i]:
-                    if not server.enabled:
-                        server.power_on()
-                    server.set_freq_cap(caps[i])
-                elif server.enabled and server.idle:
-                    server.power_off()
-            return
-        budget = budget.tolist()
-        for i in indices:
+        else:
+            budget = budget.tolist()
+        for j, i in enumerate(indices):
             server = fleet[i].server
-            if wanted[i]:
+            if wanted[j]:
                 if not server.enabled:
                     server.power_on()
                 server.set_freq_cap(
-                    server.spec.ladder.index_for_power_budget(budget[i]))
+                    caps[j] if caps is not None
+                    else server.spec.ladder.index_for_power_budget(budget[j]))
             elif server.enabled and server.idle:
                 server.power_off()
 

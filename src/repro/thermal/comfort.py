@@ -15,7 +15,6 @@ A :class:`ComfortTracker` is fed samples on the building tick and reduces to a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -66,7 +65,9 @@ class ComfortTracker:
         self._temp_weight = 0.0
         self._cold_dh = 0.0
         self._hot_dh = 0.0
-        self._monthly_temp: dict[int, List[float]] = {}
+        #: month → per-sample mean temperatures, in call order: a float per
+        #: :meth:`add`, an array of row means per :meth:`add_rows`
+        self._monthly_temp: dict[int, list] = {}
 
     def add(self, dt: float, temps, setpoints, month: int | None = None) -> None:
         """Record one sample covering ``dt`` seconds.
@@ -102,10 +103,11 @@ class ComfortTracker:
         computed in one vectorised pass — an axis reduction over a row is the
         same pairwise summation :meth:`add` performs on that row alone, so
         every accumulator receives bit-identical increments — and then folded
-        into the accumulators row by row in order.  This is the vectorised
-        kernel's batched entry point (one call per tick for a whole city
-        instead of one per building); the scalar per-building path remains
-        the reference.
+        into the accumulators row by row in order, by one
+        ``np.add.accumulate`` down the rows (a strict left fold per column).
+        This is the vectorised kernel's batched entry point (one call per
+        tick for a whole city instead of one per building); the scalar
+        per-building path remains the reference.
         """
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
@@ -113,26 +115,25 @@ class ComfortTracker:
         setpoints = np.broadcast_to(np.asarray(setpoints, dtype=float), temps.shape)
         err = temps - setpoints
         hours = dt / 3600.0
-        in_band = (np.abs(err) <= self.band_c).mean(axis=1)
-        sq_err = (err**2).mean(axis=1)
         mean_t = temps.mean(axis=1)
-        cold = np.maximum(-err, 0.0).mean(axis=1)
-        hot = np.maximum(err - self.band_c, 0.0).mean(axis=1)
-        monthly = self._monthly_temp.setdefault(month, []) if month is not None else None
-        # the fold stays sequential row by row (rounding order is part of the
-        # contract); tolist() yields the same doubles as per-element float()
-        mean_t_l = mean_t.tolist()
-        for ib, sq, mt, cd, ht in zip(in_band.tolist(), sq_err.tolist(),
-                                      mean_t_l, cold.tolist(), hot.tolist()):
-            self._seconds += dt
-            self._n_samples += 1
-            self._in_band_weight += dt * ib
-            self._sq_err_weight += dt * sq
-            self._temp_weight += dt * mt
-            self._cold_dh += hours * cd
-            self._hot_dh += hours * ht
-        if monthly is not None:
-            monthly.extend(mean_t_l)
+        # row 0 holds the accumulators, row r the increments sample r adds;
+        # rounding order is part of the contract, so the fold must stay
+        # sequential: np.add.accumulate, never np.sum (pairwise)
+        steps = np.empty((temps.shape[0] + 1, 6))
+        steps[0] = (self._seconds, self._in_band_weight, self._sq_err_weight,
+                    self._temp_weight, self._cold_dh, self._hot_dh)
+        steps[1:, 0] = dt
+        steps[1:, 1] = dt * (np.abs(err) <= self.band_c).mean(axis=1)
+        steps[1:, 2] = dt * (err**2).mean(axis=1)
+        steps[1:, 3] = dt * mean_t
+        steps[1:, 4] = hours * np.maximum(-err, 0.0).mean(axis=1)
+        steps[1:, 5] = hours * np.maximum(err - self.band_c, 0.0).mean(axis=1)
+        (self._seconds, self._in_band_weight, self._sq_err_weight,
+         self._temp_weight, self._cold_dh, self._hot_dh) = \
+            np.add.accumulate(steps, axis=0)[-1].tolist()
+        self._n_samples += temps.shape[0]
+        if month is not None:
+            self._monthly_temp.setdefault(month, []).append(mean_t)
 
     def result(self) -> ComfortStats:
         """Reduce to :class:`ComfortStats`; raises if nothing was recorded."""
@@ -149,4 +150,7 @@ class ComfortTracker:
 
     def monthly_mean_temps(self) -> dict[int, float]:
         """Mean recorded temperature per month — the Fig. 4 series."""
-        return {m: float(np.mean(v)) for m, v in sorted(self._monthly_temp.items())}
+        # concatenated in call order, np.mean sees the same values in the
+        # same order as if every sample had been stored on its own
+        return {m: float(np.mean(np.hstack(v)))
+                for m, v in sorted(self._monthly_temp.items())}

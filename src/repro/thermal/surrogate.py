@@ -33,6 +33,10 @@ the district-mean error exceeding ``slo_zoom_threshold_c`` — and *lazy
 zoom-in* re-integrates any aggregate district's trajectory exactly from
 the last checkpointed aggregate state without touching live state.
 
+Once switched, a steady tick's Python work is O(live rooms): the aggregate
+bookkeeping (history rows, useful heat, modelled energy) is a fixed number
+of numpy calls whatever the number of aggregate districts.
+
 Error discipline: the declared tolerance budget lives in
 :mod:`repro.thermal.budget` and is enforced by the differential fuzz
 harness in ``tests/test_kernel_equivalence.py``.
@@ -57,8 +61,8 @@ class SurrogateConfig:
 
     ``warmup_ticks`` exact ticks feed the calibration fit; ``sample_districts``
     districts (drawn deterministically from the ``surrogate-calibration``
-    stream) stay on the exact path forever; aggregate state is checkpointed
-    every ``checkpoint_every`` ticks for lazy zoom-in; a district whose mean
+    stream) stay on the exact path forever; lazy zoom-in replays from a
+    checkpoint every ``checkpoint_every`` aggregated ticks; a district whose mean
     setpoint error exceeds ``slo_zoom_threshold_c`` is materialised (the
     SLO-flagged case).
     """
@@ -275,14 +279,20 @@ class SurrogateController:
         self._fit_b_stack = np.empty(0)
         self._agg_idx = np.empty(0, dtype=np.intp)
         self._live_room_idx = np.arange(len(bank), dtype=np.intp)
-        self._live_buildings = set(mw.buildings)
+        #: (building, collective controller) of every live building, in
+        #: ``mw.buildings`` order — what the regulation stage walks
+        self._live_buildings: List[Tuple[object, object]] = []
         self._mask: Optional[np.ndarray] = None
         self._quiesce_pending: List = []
         self._times: List[float] = []
         self._dts: List[float] = []
-        self._heat_hist: Dict[int, List[float]] = {}
-        self._tbar_hist: Dict[int, List[Tuple[float, float]]] = {}
-        self._checkpoints: Dict[int, List[Tuple[int, float, float]]] = {}
+        #: one (3, n_districts) row per aggregated tick: modelled heat,
+        #: t̄_air and t̄_env by district column (NaN where not aggregated);
+        #: row 0 holds the state at the switch
+        self._hist: List[np.ndarray] = []
+        #: every district aggregated at the switch → the ticks it spent
+        #: aggregated, fixed when it materialises (None while it still is)
+        self._agg_ticks: Dict[int, Optional[int]] = {}
 
     # ------------------------------------------------------------------ #
     # phase machinery
@@ -321,8 +331,11 @@ class SurrogateController:
         else:
             self._live_room_idx = np.empty(0, dtype=np.intp)
         bpd = self.mw.config.buildings_per_district
-        self._live_buildings = {
-            f"district-{d}/building-{b}" for d in live for b in range(bpd)}
+        names = {f"district-{d}/building-{b}" for d in live for b in range(bpd)}
+        collectives = self.mw.collectives
+        self._live_buildings = [
+            (building, collectives.get(name))
+            for name, building in self.mw.buildings.items() if name in names]
 
     def _switch(self, now: float) -> None:
         mw = self.mw
@@ -347,10 +360,6 @@ class SurrogateController:
             self._delta_air[d] = t_air[d] - self._t_air_bar[pos]
             self._delta_env[d] = t_env[d] - self._t_env_bar[pos]
             self._delta_int[d] = integral[d] - self._int_bar[pos]
-            self._heat_hist[d] = []
-            self._tbar_hist[d] = []
-            self._checkpoints[d] = [
-                (0, float(self._t_air_bar[pos]), float(self._t_env_bar[pos]))]
         if self.agg_ids:
             self._delta_air_stack = np.stack(
                 [self._delta_air[d] for d in self.agg_ids])
@@ -361,6 +370,8 @@ class SurrogateController:
             self._fit_b_stack = np.asarray(
                 [self.fit_b[d] for d in self.agg_ids])
             self._agg_idx = agg
+        self._agg_ticks = dict.fromkeys(self.agg_ids)
+        self._hist = [self._history_row(np.full(agg.size, np.nan))]
         self._rebuild_live_index()
         # quiesce: masked out of smart-grid actuation, filler preempted and
         # boards powered off as they drain (§III-A off-when-no-heat, en masse)
@@ -385,14 +396,10 @@ class SurrogateController:
     # ------------------------------------------------------------------ #
     def tick_regulation(self, now: float, dt: float) -> None:
         """Exact PI for live rooms, one clipped PI per aggregate district."""
-        mw = self.mw
-        bank = mw._bank
+        bank = self.mw._bank
         temps_parts = []
-        for bname, building in mw.buildings.items():
-            if bname not in self._live_buildings:
-                continue
+        for building, ctrl in self._live_buildings:
             temps = building.temperatures
-            ctrl = mw.collectives.get(bname)
             if ctrl is not None and ctrl.active:
                 ctrl.update(temps)
             temps_parts.append(temps)
@@ -447,11 +454,9 @@ class SurrogateController:
 
         # --- live rooms: the vector kernel's elementwise update, gathered --
         idx = self._live_room_idx
-        live_p_heat: List[float] = []
         if idx.size:
             rooms = fused.rooms
-            live_p_heat = [rooms[i].heater_power_w() for i in idx.tolist()]
-            p_heat = np.array(live_p_heat)
+            p_heat = np.array([rooms[i].heater_power_w() for i in idx.tolist()])
             p_gain = np.where(
                 (fused.occ_lo[idx] <= hod) & (hod < fused.occ_hi[idx]),
                 fused.gain_w[idx], 0.0)
@@ -495,18 +500,7 @@ class SurrogateController:
             t_env_grid[agg] = self._t_env_bar[:, None] + self._delta_env_stack
             self._times.append(now)
             self._dts.append(dt)
-            n_ticks = len(self._times)
-            heat_l = heat.tolist()
-            ta_l = self._t_air_bar.tolist()
-            te_l = self._t_env_bar.tolist()
-            hh, th = self._heat_hist, self._tbar_hist
-            for pos, d in enumerate(self.agg_ids):
-                hh[d].append(heat_l[pos])
-                th[d].append((ta_l[pos], te_l[pos]))
-            if n_ticks % self.config.checkpoint_every == 0:
-                cps = self._checkpoints
-                for pos, d in enumerate(self.agg_ids):
-                    cps[d].append((n_ticks, ta_l[pos], te_l[pos]))
+            self._hist.append(self._history_row(heat))
 
         # --- comfort: same batched entry point as the vector kernel --------
         nb = len(fused.buildings)
@@ -515,20 +509,18 @@ class SurrogateController:
                             month=month)
 
         # --- useful-heat ledger + modelled energy --------------------------
-        add_useful = mw.ledger.add_useful_heat
+        # live rooms first, then aggregate districts, each ascending: the
+        # terms, in the order, that per-room ledger calls would add
+        ledger = mw.ledger
         if idx.size:
-            wanted_live = bank.heat_wanted_mask()[idx].tolist()
-            for p, w in zip(live_p_heat, wanted_live):
-                if p > 0 and w:
-                    add_useful(p * dt)
+            wanted_live = bank.heat_wanted_mask()[idx]
+            ledger.add_useful_heat_many((p_heat * dt)[(p_heat > 0) & wanted_live])
         if self.agg_ids:
-            heat_l = heat.tolist()
-            for h, w in zip(heat_l, wanted_agg.tolist()):
-                if w and h > 0:
-                    add_useful(h * rpd * dt)
+            ledger.add_useful_heat_many((heat * rpd * dt)[wanted_agg & (heat > 0)])
             # quiesced boards consume no metered power; the district's
-            # electrical draw is modelled from the same fitted map
-            p_elec = sum((heat / self._heat_fraction).tolist())
+            # electrical draw is modelled from the same fitted map, summed
+            # as a strict left fold (np.add.accumulate never reassociates)
+            p_elec = float(np.add.accumulate(heat / self._heat_fraction)[-1])
             self.modeled_energy_j += p_elec * rpd * dt
 
         # --- SLO flagging: a drifting district zooms back in ---------------
@@ -571,6 +563,7 @@ class SurrogateController:
         mw = self.mw
         bank = mw._bank
         pos = self.agg_ids.index(district)
+        self._agg_ticks[district] = len(self._hist) - 1
         sl = self._d_slice(district)
         integ = np.clip(self._int_bar[pos] + self._delta_int[district],
                         -self._int_limit, self._int_limit)
@@ -587,7 +580,11 @@ class SurrogateController:
         self._agg_idx = np.asarray(self.agg_ids, dtype=np.intp)
         self.live.add(district)
         self._rebuild_live_index()
+        # a new array, re-registered: the smart grid caches the mask's
+        # indices, so an in-place edit would leave its actuation stale
+        self._mask = self._mask.copy()
         self._mask[sl] = True
+        mw.smartgrid.set_actuation_mask(self._mask)
         for i in range(sl.start, sl.stop):
             server, _d = mw._bank_entries[i]
             bank.regulators[i].apply_to_server(server)
@@ -601,9 +598,36 @@ class SurrogateController:
     # ------------------------------------------------------------------ #
     # lazy zoom-in: exact replay from the last checkpoint
     # ------------------------------------------------------------------ #
+    def _history_row(self, heat: np.ndarray) -> np.ndarray:
+        """One history row: ``heat`` and the current aggregate state."""
+        row = np.full((3, self.n_districts), np.nan)
+        row[:, self._agg_idx] = (heat, self._t_air_bar, self._t_env_bar)
+        return row
+
+    def _ticks_aggregated(self, district: int) -> int:
+        if district not in self._agg_ticks:
+            raise ValueError(f"district {district} was never aggregated")
+        ticks = self._agg_ticks[district]
+        return len(self._hist) - 1 if ticks is None else ticks
+
     def delta_air(self, district: int) -> np.ndarray:
         """Frozen per-room offsets from the district mean (read-only copy)."""
         return self._delta_air[district].copy()
+
+    def heat_history(self, district: int) -> List[float]:
+        """Modelled mean heater power (W) of each tick spent aggregated."""
+        n = self._ticks_aggregated(district)
+        return [float(row[0, district]) for row in self._hist[1:n + 1]]
+
+    def last_checkpoint(self, district: int) -> int:
+        """Aggregated ticks of ``district`` at its last checkpoint.
+
+        A checkpoint falls every ``checkpoint_every`` aggregated ticks, so
+        it is derived from the tick count rather than stored; its state is
+        that history row.
+        """
+        every = self.config.checkpoint_every
+        return self._ticks_aggregated(district) // every * every
 
     def replay(self, district: int) -> List[Tuple[float, float]]:
         """Re-integrate ``district`` from its last checkpoint.
@@ -614,15 +638,13 @@ class SurrogateController:
         the same elementwise code path, so every replayed float is
         bit-identical to the recorded live trajectory.
         """
-        if district not in self._tbar_hist:
-            raise ValueError(f"district {district} was never aggregated")
-        hist = self._heat_hist[district]
-        i0, ta0, te0 = self._checkpoints[district][-1]
+        n = self._ticks_aggregated(district)
+        i0 = self.last_checkpoint(district)
         fused = self.mw._fused_thermal
-        ta = np.array([ta0])
-        te = np.array([te0])
+        ta = self._hist[i0][1, [district]]
+        te = self._hist[i0][2, [district]]
         out: List[Tuple[float, float]] = []
-        for i in range(i0, len(hist)):
+        for i in range(i0, n):
             now = self._times[i]
             t_out = fused.weather.outdoor_temperature(now)
             hod = fused._cal.hour_of_day(now)
@@ -630,21 +652,21 @@ class SurrogateController:
             p_gain = self._gain_w if self._occ_lo <= hod < self._occ_hi else 0.0
             p_solar = self._aperture * irr * 0.6
             ta, te = self.model.step(ta, te, self._dts[i], t_out,
-                                     np.array([hist[i]]), p_gain, p_solar)
+                                     self._hist[i + 1][0, [district]],
+                                     p_gain, p_solar)
             out.append((float(ta[0]), float(te[0])))
         return out
 
     def recorded_trajectory(self, district: int) -> List[Tuple[float, float]]:
         """The live ``(t̄_air, t̄_env)`` history replay must reproduce."""
-        if district not in self._tbar_hist:
-            raise ValueError(f"district {district} was never aggregated")
-        i0 = self._checkpoints[district][-1][0]
-        return list(self._tbar_hist[district][i0:])
+        n = self._ticks_aggregated(district)
+        i0 = self.last_checkpoint(district)
+        return [(float(row[1, district]), float(row[2, district]))
+                for row in self._hist[i0 + 1:n + 1]]
 
     def zoom_in(self, district: int) -> DistrictZoom:
         """Lazy per-building materialisation; see :class:`DistrictZoom`."""
-        if district not in self._tbar_hist:
-            raise ValueError(f"district {district} was never aggregated")
+        self._ticks_aggregated(district)     # raises if never aggregated
         self.zooms += 1
         mw = self.mw
         if mw.obs.active:

@@ -531,6 +531,12 @@ def test_filler_block_equals_its_chunks_at_the_server(seed):
     assert sum(ref.filler_done.values()) > 0
 
 
+def _comfort_accumulators(tracker):
+    return [float(v).hex() for v in (
+        tracker._seconds, tracker._in_band_weight, tracker._sq_err_weight,
+        tracker._temp_weight, tracker._cold_dh, tracker._hot_dh)]
+
+
 def test_comfort_add_rows_equals_sequential_adds():
     rng = np.random.default_rng(42)
     a, b = ComfortTracker(band_c=1.0), ComfortTracker(band_c=1.0)
@@ -544,6 +550,23 @@ def test_comfort_add_rows_equals_sequential_adds():
         b.add_rows(600.0, temps, sets, month=month)
     assert a.result() == b.result()
     assert a.monthly_mean_temps() == b.monthly_mean_temps()
+    # hundreds of rows spanning decades, where a pairwise sum of the rows
+    # differs from the sequential fold add() performs: bit for bit
+    for rows in (500, 777, 1024):
+        rooms = int(rng.integers(1, 7))
+        dt = float(10 ** rng.uniform(0, 4))
+        temps = rng.uniform(-1, 1, size=(rows, rooms)) * 10 ** rng.uniform(
+            -2, 3, size=(rows, 1))
+        sets = temps + rng.normal(0, 2, size=(rows, rooms)) * 10 ** rng.uniform(
+            -1, 2, size=(rows, 1))
+        month = int(rng.integers(1, 13))
+        for i in range(rows):
+            a.add(dt, temps[i], sets[i], month=month)
+        b.add_rows(dt, temps, sets, month=month)
+        assert _comfort_accumulators(a) == _comfort_accumulators(b)
+        assert a._n_samples == b._n_samples
+    assert ({m: v.hex() for m, v in a.monthly_mean_temps().items()}
+            == {m: v.hex() for m, v in b.monthly_mean_temps().items()})
 
 
 def test_fused_thermal_bitwise_equals_per_building_steps():

@@ -1,5 +1,6 @@
 """Tests for the urban-heat-island ledger."""
 
+import numpy as np
 import pytest
 
 from repro.thermal.heat_island import HeatIslandLedger, OutdoorHeatSource
@@ -50,3 +51,26 @@ def test_useful_heat_tracked_separately():
     led.add_useful_heat(500.0)
     assert led.useful_heat_j == 500.0
     assert led.total_outdoor_j == 0.0
+
+
+def test_add_useful_heat_many_equals_one_by_one_adds():
+    rng = np.random.default_rng(3)
+    one, many = HeatIslandLedger(), HeatIslandLedger()
+    for n in (1, 7, 600, 2048):
+        energies = rng.uniform(0, 1, size=n) * 10 ** rng.uniform(-4, 8, size=n)
+        for e in energies.tolist():
+            one.add_useful_heat(e)
+        many.add_useful_heat_many(energies)
+        # a pairwise sum would drift from the fold in the low bits
+        assert many.useful_heat_j.hex() == one.useful_heat_j.hex()
+
+
+def test_add_useful_heat_many_empty_and_negative():
+    led = HeatIslandLedger()
+    led.add_useful_heat(12.5)
+    led.add_useful_heat_many([])
+    led.add_useful_heat_many(np.empty(0))
+    assert led.useful_heat_j == 12.5
+    with pytest.raises(ValueError):
+        led.add_useful_heat_many([1.0, 2.0, -0.5, 4.0])
+    assert led.useful_heat_j == 12.5     # nothing of the batch was added

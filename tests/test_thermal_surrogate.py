@@ -10,6 +10,9 @@ RNG stream isolation and rerun determinism.
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,11 @@ def _city(**overrides):
 def _run_ticks(mw, n):
     mw.run_until(mw.engine.now + n * TICK)
     return mw
+
+
+def _ever_aggregated(sur):
+    """Every district aggregated at the switch (all but the sample)."""
+    return [d for d in range(sur.n_districts) if d not in sur.sample_districts]
 
 
 # --------------------------------------------------------------------------- #
@@ -145,7 +153,7 @@ def test_replay_byte_identical_to_recorded_trajectory():
     sur = mw.surrogate
     assert sur.switched and sur.agg_ids
     for d in sur.agg_ids:
-        assert len(sur._checkpoints[d]) > 1      # replay starts mid-history
+        assert sur.last_checkpoint(d) > 0        # replay starts mid-history
         assert sur.replay(d) == sur.recorded_trajectory(d)
 
 
@@ -162,7 +170,8 @@ def test_zoom_round_trip_leaves_aggregate_state_unchanged():
             np.asarray(mw._fused_thermal.t_env).copy(),
             np.asarray(mw._bank._integral).copy(),
             np.asarray(mw._bank._power_fraction).copy(),
-            list(sur.agg_ids), {k: len(v) for k, v in sur._heat_hist.items()},
+            list(sur.agg_ids),
+            {d: len(sur.heat_history(d)) for d in _ever_aggregated(sur)},
         )
 
     before = snapshot()
@@ -178,6 +187,100 @@ def test_zoom_round_trip_leaves_aggregate_state_unchanged():
             assert np.array_equal(b, a)
         else:
             assert b == a
+
+
+def test_materialised_district_keeps_its_aggregated_history():
+    mw = _run_ticks(_city(), 10)        # switch at tick 5: 6 aggregated ticks
+    sur = mw.surrogate
+    d, other = sur.agg_ids[0], sur.agg_ids[-1]
+    aggregated = len(sur.heat_history(other))
+    assert aggregated == 6 and sur.last_checkpoint(d) == 4
+    mw.submit_edge(EdgeRequest(request_id="hist-e1",
+                               source=f"district-{d}/building-0",
+                               cycles=1e9, deadline_s=30.0,
+                               time=mw.engine.now))
+    assert d in sur.live
+    _run_ticks(mw, 7)
+    assert len(sur.heat_history(d)) == aggregated
+    assert sur.last_checkpoint(d) == 4
+    assert sur.replay(d) == sur.recorded_trajectory(d)
+    assert len(sur.recorded_trajectory(d)) == aggregated - 4
+    # the districts still aggregated kept recording
+    assert len(sur.heat_history(other)) == aggregated + 7
+    assert sur.last_checkpoint(other) == 12
+    assert sur.replay(other) == sur.recorded_trajectory(other)
+
+
+def test_materialised_district_is_actuated_every_later_tick():
+    """Once a district materialises, the smart grid actuates its servers
+    like any live one: every heat-wanted live server runs at the P-state
+    its bank row authorises, on every later tick."""
+    mw = _run_ticks(_city(), 8)
+    sur = mw.surrogate
+    d = sur.agg_ids[0]
+    mw.submit_edge(EdgeRequest(request_id="act-e1",
+                               source=f"district-{d}/building-0",
+                               cycles=1e9, deadline_s=30.0,
+                               time=mw.engine.now))
+    bank = mw._bank
+    min_on = mw.config.regulator.min_on_fraction
+    checked_in_d = 0
+    for _ in range(12):
+        _run_ticks(mw, 1)
+        wanted = bank.heat_wanted_mask().tolist()
+        pf = bank.power_fraction.tolist()
+        for i, (server, district) in enumerate(mw._bank_entries):
+            if district not in sur.live or not wanted[i]:
+                continue
+            ladder = server.spec.ladder
+            assert server.freq_index == ladder.index_for_power_budget(
+                max(pf[i], min_on)), (server.name, mw.engine.now)
+            checked_in_d += district == d
+    assert checked_in_d > 0
+
+
+def _steady_tick_lines(n_districts, ticks=4):
+    """Python lines executed by each of ``ticks`` steady surrogate ticks."""
+    mw = small_city(kernel="surrogate", n_districts=n_districts,
+                    buildings_per_district=2, rooms_per_building=3,
+                    surrogate=SurrogateConfig(warmup_ticks=6,
+                                              sample_districts=1))
+    tick = mw.config.thermal_tick_s
+    mw.run_until(mw.engine.now + 10 * tick)
+    assert mw.surrogate.switched
+    counts = []
+    for _ in range(ticks):
+        lines = 0
+
+        def trace(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return trace
+
+        # no collection mid-count: a finaliser of an unrelated object would
+        # add its lines to this tick's
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            mw.run_until(mw.engine.now + tick)
+        finally:
+            sys.settrace(previous)
+            if gc_was_enabled:
+                gc.enable()
+        counts.append(lines)
+    assert not mw.surrogate.materialised
+    return counts
+
+
+def test_steady_surrogate_tick_runs_python_over_live_rooms_only():
+    """An op count, not a timer: a steady tick executes the same Python
+    lines whether 15 or 63 districts are aggregated, so nothing in it
+    loops over the aggregate fleet."""
+    assert _steady_tick_lines(16) == _steady_tick_lines(64)
 
 
 def test_zoom_rejects_never_aggregated_district():
@@ -272,7 +375,7 @@ def test_surrogate_rerun_is_byte_identical():
             mw.fleet_energy_j(), sur.modeled_energy_j,
             (c.hours_tracked, c.time_in_band, c.rmse_c, c.mean_temp_c),
             sur.sample_districts, list(sur.agg_ids), sur.materialised,
-            {d: sur._heat_hist[d] for d in sur._heat_hist},
+            {d: sur.heat_history(d) for d in _ever_aggregated(sur)},
         )
 
     assert run() == run()
