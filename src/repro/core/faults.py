@@ -199,12 +199,10 @@ class FaultInjector:
         self.mw.schedulers[district].drain()
 
     def _find(self, server_name: str):
-        for district, cluster in self.mw.clusters.items():
-            try:
-                return cluster.worker(server_name), district
-            except KeyError:
-                continue
-        raise KeyError(f"no server named {server_name!r} in any cluster")
+        district = self.mw.server_district.get(server_name)
+        if district is None:
+            raise KeyError(f"no server named {server_name!r} in any cluster")
+        return self.mw.clusters[district].worker(server_name), district
 
     @property
     def down_servers(self) -> Set[str]:

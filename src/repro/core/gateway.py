@@ -23,6 +23,7 @@ from repro.hardware.server import ComputeServer, Task
 from repro.network.link import Link
 from repro.network.lowpower import LowPowerLink, LowPowerProtocol, ZIGBEE
 from repro.obs import get_obs
+from repro.sim.rng import StandardNormals
 
 __all__ = ["EdgeGateway", "DCCGateway"]
 
@@ -38,7 +39,9 @@ class EdgeGateway:
     scheduler: the cluster's scheduler (either architecture class).
     engine: simulation engine.
     protocol: low-power protocol of the building fabric (default Zigbee).
-    rng: optional jitter stream for the radio links.
+    rng: optional jitter stream for the radio links.  Its only reader is
+        this gateway's :class:`~repro.sim.rng.StandardNormals` block source,
+        which every link of the gateway draws from.
     """
 
     def __init__(self, scheduler, engine, protocol: LowPowerProtocol = ZIGBEE,
@@ -46,7 +49,7 @@ class EdgeGateway:
         self.scheduler = scheduler
         self.engine = engine
         self.protocol = protocol
-        self.rng = rng
+        self.normals = StandardNormals(rng) if rng is not None else None
         self.obs = obs if obs is not None else get_obs()
         self._links: Dict[str, LowPowerLink] = {}
         self.received = 0
@@ -66,8 +69,9 @@ class EdgeGateway:
     def _link_for(self, source: str) -> LowPowerLink:
         link = self._links.get(source)
         if link is None:
-            link = LowPowerLink(self.protocol, rng=self.rng,
-                                jitter_std_s=0.002 if self.rng is not None else 0.0)
+            link = LowPowerLink(
+                self.protocol, normals=self.normals,
+                jitter_std_s=0.002 if self.normals is not None else 0.0)
             self._links[source] = link
         return link
 

@@ -309,6 +309,12 @@ class DF3Middleware:
         self._all_servers: List = [
             w for c in self.clusters.values() for w in c.workers
         ]
+        #: server name → district of the cluster that owns it
+        self.server_district: Dict[str, int] = {
+            w.name: d for d, c in self.clusters.items() for w in c.workers
+        }
+        #: edge source → district, memoised by _district_of
+        self._source_district: Dict[str, int] = {}
 
         #: city-fused thermal stepping (vector kernel only; None when the
         #: city's buildings cannot be fused — the tick then falls back to
@@ -696,10 +702,15 @@ class DF3Middleware:
     # the three flows
     # ------------------------------------------------------------------ #
     def _district_of(self, source: str) -> int:
-        try:
-            return int(source.split("/")[0].split("-")[1])
-        except (IndexError, ValueError):
-            raise ValueError(f"cannot infer district from source {source!r}") from None
+        d = self._source_district.get(source)
+        if d is None:
+            try:
+                d = int(source.split("/")[0].split("-")[1])
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"cannot infer district from source {source!r}") from None
+            self._source_district[source] = d
+        return d
 
     def submit_heating(self, req: HeatingRequest) -> None:
         """First flow: update comfort targets of the rooms in scope.
@@ -802,22 +813,33 @@ class DF3Middleware:
     # experiment helpers
     # ------------------------------------------------------------------ #
     def inject(self, requests, direct_targets: Optional[Dict[str, str]] = None) -> None:
-        """Schedule a batch of requests at their arrival times."""
+        """Schedule a batch of requests at their arrival times.
+
+        The batch becomes one engine stream (:meth:`Engine.schedule_stream`):
+        the same dispatches as one ``schedule_at`` per request, but a single
+        heap entry.  Nothing is scheduled if any request is invalid.
+        """
+        targets = direct_targets or {}
+        items = []
         for req in requests:
             if isinstance(req, HeatingRequest):
-                self.engine.schedule_at(req.time, lambda r=req: self.submit_heating(r),
-                                        label="inject:heating")
+                items.append((req.time, "inject:heating", self.submit_heating, req))
             elif isinstance(req, EdgeRequest):
-                tgt = (direct_targets or {}).get(req.request_id)
-                self.engine.schedule_at(
-                    req.time, lambda r=req, t=tgt: self.submit_edge(r, direct_target=t),
-                    label="inject:edge",
-                )
+                tgt = targets.get(req.request_id)
+                if tgt is None:
+                    items.append((req.time, "inject:edge", self.submit_edge, req))
+                else:
+                    items.append((req.time, "inject:edge",
+                                  self._submit_edge_direct, (req, tgt)))
             elif isinstance(req, CloudRequest):
-                self.engine.schedule_at(req.time, lambda r=req: self.submit_cloud(r),
-                                        label="inject:cloud")
+                items.append((req.time, "inject:cloud", self.submit_cloud, req))
             else:
                 raise TypeError(f"cannot inject {type(req).__name__}")
+        self.engine.schedule_stream(items)
+
+    def _submit_edge_direct(self, req_target: Tuple[EdgeRequest, str]) -> None:
+        req, target = req_target
+        self.submit_edge(req, direct_target=target)
 
     def run_until(self, t: float) -> None:
         """Advance the whole city to simulated time ``t``."""

@@ -47,7 +47,6 @@ the server.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -193,6 +192,10 @@ class RecoveryRuntime:
         self.cfg = config
         self.engine = middleware.engine
         self.log = ResilienceLog()
+        #: per district, the peers a speculative copy may go to (ascending)
+        self._peers: Dict[int, List[int]] = {
+            d: [p for p in sorted(middleware.clusters) if p != d]
+            for d in middleware.clusters}
         self.injector = FaultInjector(middleware)
         self.detector = HeartbeatFailureDetector(
             config.detector, middleware.rngs.stream("resilience-detector"))
@@ -259,15 +262,16 @@ class RecoveryRuntime:
         Filler tasks are excluded from the busy count: filler is displaced
         the instant paying work arrives, so a filler-saturated winter fleet
         is *not* loaded in the PS-model sense.  Dead servers drop out of the
-        denominator — their cores are not available to anyone.
+        denominator — their cores are not available to anyone.  Each
+        server's share is its :attr:`~repro.hardware.server.ComputeServer.
+        paying_cores`, so the cost is per server, not per running task.
         """
         busy = total = 0
         for w in self.mw.clusters[district].workers:
             if not w.enabled:
                 continue
             total += w.n_cores
-            busy += sum(t.cores for t in w.running_tasks
-                        if t.metadata.get("kind") != "filler")
+            busy += w.paying_cores
         return busy, total
 
     def status_dict(self) -> Dict[str, object]:
@@ -392,8 +396,10 @@ class RecoveryRuntime:
     def _clone_peer(self, district: int) -> int:
         """The district that takes the speculative copy: most free cores
         among the peers (lowest district id breaks ties)."""
-        return min((d for d in sorted(self.mw.clusters) if d != district),
-                   key=lambda d: (-self.mw.clusters[d].free_cores(), d))
+        peers = self._peers[district]
+        if len(peers) == 1:
+            return peers[0]
+        return min(peers, key=lambda d: (-self.mw.clusters[d].free_cores(), d))
 
     def maybe_clone(self, req, district: int) -> bool:
         """Clone ``req`` if eligible and no gate vetoes it.
@@ -455,7 +461,11 @@ class RecoveryRuntime:
         """
         if peer is None:
             peer = self._clone_peer(district)
-        clone = copy.copy(req)
+        # a shallow copy, as copy.copy makes of these dataclasses (a fresh
+        # instance sharing the same attribute values), minus the reduce
+        # protocol
+        clone = object.__new__(type(req))
+        clone.__dict__.update(req.__dict__)
         clone.request_id = f"{req.request_id}#clone"
         group = CloneGroup(req, clone, self,
                            cancel_on=self.cfg.recovery.clone_cancel_on)
@@ -482,18 +492,17 @@ class RecoveryRuntime:
         loser.__dict__["_clone_cancelled"] = True
         if loser.status is not RequestStatus.RUNNING or not loser.executed_on:
             return  # queued or in flight: dropped lazily at the next touch
-        for d in sorted(self.mw.clusters):
-            try:
-                worker = self.mw.clusters[d].worker(loser.executed_on)
-            except KeyError:
-                continue
-            try:
-                task = worker.preempt(loser.request_id)
-            except KeyError:
-                return  # completed in the same instant; on_complete discards
-            self.log.clone_waste_cycles += max(
-                0.0, loser.cycles - task.remaining_cycles)
-            self.mw.schedulers[d].drain()  # the freed cores can serve queues
+        d = self.mw.server_district.get(loser.executed_on)
+        if d is None:
+            # running in the datacenter: out of preemption reach; its
+            # completion will be discarded (and booked as waste) by
+            # CloneGroup.on_complete
             return
-        # running in the datacenter: out of preemption reach; its completion
-        # will be discarded (and booked as waste) by CloneGroup.on_complete
+        worker = self.mw.clusters[d].worker(loser.executed_on)
+        try:
+            task = worker.preempt(loser.request_id)
+        except KeyError:
+            return  # completed in the same instant; on_complete discards
+        self.log.clone_waste_cycles += max(
+            0.0, loser.cycles - task.remaining_cycles)
+        self.mw.schedulers[d].drain()  # the freed cores can serve queues

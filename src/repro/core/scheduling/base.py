@@ -445,6 +445,8 @@ class BaseScheduler(ABC):
     # ------------------------------------------------------------------ #
     def drain(self) -> None:
         """Serve queued work after capacity freed up (EDF first, then FCFS)."""
+        if not self.edge_queue and not self.cloud_queue:
+            return
         now = self.engine.now
         for stale in self.edge_queue.pop_expired(now):
             if stale.__dict__.get("_clone_cancelled"):

@@ -160,6 +160,10 @@ class ComputeServer:
         # (the vector kernel); the scalar reference recomputes from the
         # running-task map.
         self._busy_cores = 0
+        # cached Σ task.cores × task.chunks over filler tasks, maintained
+        # beside _busy_cores at every site that changes it, so paying load
+        # is one subtraction on the vector kernel
+        self._filler_cores = 0
         self._incremental = bool(getattr(engine, "incremental_accounting", False))
         # memoised power_w()/core_rate values, read only under incremental
         # accounting; invalidated whenever busy cores, the frequency cap or
@@ -211,6 +215,19 @@ class ComputeServer:
         return sum(t.cores * t.chunks for t in self._running.values())
 
     @property
+    def paying_cores(self) -> int:
+        """Busy cores minus filler cores: the load paying work puts here.
+
+        Filler is displaced the instant paying work arrives, so it does not
+        count.  Scalar reference: recomputed from the running-task map.
+        Vector kernel: busy minus the maintained filler counter.
+        """
+        if self._incremental:
+            return self._busy_cores - self._filler_cores
+        return sum(t.cores * t.chunks for t in self._running.values()
+                   if t.metadata.get("kind") != "filler")
+
+    @property
     def idle(self) -> bool:
         """True when no task is running (cheaper than ``running_tasks``)."""
         return not self._running
@@ -218,7 +235,11 @@ class ComputeServer:
     @property
     def free_cores(self) -> int:
         """Cores available for new tasks (0 when powered off)."""
-        return self.spec.n_cores - self.busy_cores if self._enabled else 0
+        if not self._enabled:
+            return 0
+        if self._incremental:
+            return self.spec.n_cores - self._busy_cores
+        return self.spec.n_cores - self.busy_cores
 
     @property
     def utilization(self) -> float:
@@ -275,9 +296,17 @@ class ComputeServer:
             raise RuntimeError(f"server {self.name}: engine time went backwards")
         if dt == 0:
             return
-        self.energy_j += self.power_w() * dt
-        self.busy_core_seconds += self.busy_cores * dt
-        rate = self.core_rate_cycles_per_s()
+        # the caches are only ever set on the incremental kernel; when one
+        # is unset, its accessor computes the value (and caches it there)
+        power = self._power_cache
+        if power is None:
+            power = self.power_w()
+        self.energy_j += power * dt
+        busy = self._busy_cores if self._incremental else self.busy_cores
+        self.busy_core_seconds += busy * dt
+        rate = self._rate_cache
+        if rate is None:
+            rate = self.core_rate_cycles_per_s()
         if rate > 0:
             # same fold order as `self.cycles_executed += executed` per task;
             # rem - rem == +0.0 exactly, so the branch matches min()+subtract.
@@ -300,7 +329,9 @@ class ComputeServer:
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        rate = self.core_rate_cycles_per_s()
+        rate = self._rate_cache
+        if rate is None:
+            rate = self.core_rate_cycles_per_s()
         if rate <= 0 or not self._running:
             return
         horizon = float("inf")
@@ -308,8 +339,12 @@ class ComputeServer:
             h = t.remaining_cycles / (rate * t.cores)
             if h < horizon:
                 horizon = h
-        self._completion_event = self.engine.schedule(
-            max(horizon, _TIME_EPS), self._on_completion_event
+        # max(horizon, _TIME_EPS) in branch form: a NaN horizon stays NaN
+        # (and is rejected by the engine), exactly as max() keeps it
+        engine = self.engine
+        self._completion_event = engine.schedule_at(
+            engine.now + (_TIME_EPS if _TIME_EPS > horizon else horizon),
+            self._on_completion_event,
         )
 
     def _on_completion_event(self) -> None:
@@ -328,6 +363,8 @@ class ComputeServer:
         for t in finished:
             del self._running[t.task_id]
             self._busy_cores -= t.cores * t.chunks
+            if t.metadata.get("kind") == "filler":
+                self._filler_cores -= t.cores * t.chunks
             t.state = TaskState.COMPLETED
             t.remaining_cycles = 0.0
             t.completed_at = now
@@ -359,6 +396,8 @@ class ComputeServer:
         task.server_name = self.name
         self._running[task.task_id] = task
         self._busy_cores += task.cores
+        if task.metadata.get("kind") == "filler":
+            self._filler_cores += task.cores
         self._power_cache = None
         self._reschedule_completion()
         return True
@@ -401,6 +440,8 @@ class ComputeServer:
             task.server_name = name
             self._running[task.task_id] = task
             self._busy_cores += need
+            if task.metadata.get("kind") == "filler":
+                self._filler_cores += need
             free -= need
             accepted += task.chunks
         if accepted:
@@ -432,6 +473,8 @@ class ComputeServer:
         else:
             task.chunks -= n
         self._busy_cores -= task.cores * n
+        if task.metadata.get("kind") == "filler":
+            self._filler_cores -= task.cores * n
         self._power_cache = None
         if n > 1:
             self.engine.reserve_seq(n - 1)
@@ -452,6 +495,8 @@ class ComputeServer:
             del self._running[t.task_id]
             t.state = TaskState.PREEMPTED
             self._busy_cores -= t.cores * t.chunks
+            if kind == "filler":
+                self._filler_cores -= t.cores * t.chunks
         if tasks:
             self._power_cache = None
             self._reschedule_completion()
@@ -463,6 +508,7 @@ class ComputeServer:
         tasks = list(self._running.values())
         self._running.clear()
         self._busy_cores = 0
+        self._filler_cores = 0
         self._power_cache = None
         for t in tasks:
             t.state = TaskState.KILLED

@@ -24,9 +24,9 @@ sense-compute-actuate designs to stay frugal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-import numpy as np
+from repro.sim.rng import StandardNormals
 
 __all__ = ["LowPowerProtocol", "LowPowerLink", "ZIGBEE", "LORA", "SIGFOX", "ENOCEAN"]
 
@@ -63,20 +63,26 @@ class LowPowerLink:
     pays the base latency and airtime, and the duty-cycle gate applies to the
     summed airtime.  Per-device state (``next_free_time``) models the legal
     transmit-budget of that device, not channel contention.
+
+    Jitter is ``max(N(0, jitter_std_s), 0)``, drawn from ``normals``; links
+    may share one source (a gateway's links share its stream).
     """
 
-    def __init__(self, protocol: LowPowerProtocol, rng: Optional[np.random.Generator] = None,
+    def __init__(self, protocol: LowPowerProtocol,
+                 normals: Optional[StandardNormals] = None,
                  jitter_std_s: float = 0.0):
         if jitter_std_s < 0:
             raise ValueError("jitter std must be >= 0")
-        if jitter_std_s > 0 and rng is None:
-            raise ValueError("jittery link needs an rng stream")
+        if jitter_std_s > 0 and normals is None:
+            raise ValueError("jittery link needs a normals source")
         self.protocol = protocol
-        self.rng = rng
+        self.normals = normals
         self.jitter_std_s = jitter_std_s
         self.next_free_time = 0.0
         self.messages_sent = 0
         self.airtime_used_s = 0.0
+        #: message size → (airtime, duty-cycle silence), memoised by send()
+        self._by_size: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------ #
     def fragments(self, size_bytes: int) -> int:
@@ -101,14 +107,20 @@ class LowPowerLink:
         Returns the **delivery time** (absolute).  The device's duty-cycle
         budget is consumed; subsequent sends may be gated.
         """
-        air = self.airtime_s(size_bytes)
+        sized = self._by_size.get(size_bytes)
+        if sized is None:
+            air = self.airtime_s(size_bytes)
+            # duty cycle: after `air` seconds on air, stay silent for
+            # air*(1/d - 1)
+            sized = (air, air * (1.0 / self.protocol.duty_cycle - 1.0))
+            self._by_size[size_bytes] = sized
+        air, silence = sized
         start = max(now, self.next_free_time)
         jitter = 0.0
         if self.jitter_std_s > 0:
-            jitter = max(float(self.rng.normal(0.0, self.jitter_std_s)), 0.0)
+            # N(0, s) is 0.0 + s·z, bit for bit (see StandardNormals)
+            jitter = max(0.0 + self.jitter_std_s * self.normals.next(), 0.0)
         delivered = start + self.protocol.base_latency_s + air + jitter
-        # duty cycle: after `air` seconds on air, stay silent for air*(1/d - 1)
-        silence = air * (1.0 / self.protocol.duty_cycle - 1.0)
         self.next_free_time = start + air + silence
         self.messages_sent += 1
         self.airtime_used_s += air

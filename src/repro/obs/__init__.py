@@ -83,7 +83,7 @@ class Observability:
     collects metrics without tracing, ``Observability()`` is fully inactive.
     """
 
-    __slots__ = ("tracer", "registry", "profiler", "metrics_enabled")
+    __slots__ = ("tracer", "registry", "profiler", "metrics_enabled", "active")
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  registry: Optional[MetricsRegistry] = None,
@@ -92,12 +92,10 @@ class Observability:
         self.metrics_enabled = registry is not None
         self.registry = registry if registry is not None else MetricsRegistry()
         self.profiler = profiler
-
-    @property
-    def active(self) -> bool:
-        """True when any pillar should receive data — the hot-path guard."""
-        return (self.tracer.enabled or self.metrics_enabled
-                or self.profiler is not None)
+        #: True when any pillar should receive data — the hot-path guard.
+        #: Its inputs are set above and never reassigned.
+        self.active: bool = (self.tracer.enabled or self.metrics_enabled
+                             or profiler is not None)
 
     # convenience pass-throughs so call sites read `obs.emit(...)` etc.
     def emit(self, kind: str, name: str, ts: float,

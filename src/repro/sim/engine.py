@@ -34,6 +34,11 @@ exactly the sequence numbers its scalar equivalent would have consumed — the
 live events' ``(time, priority, seq)`` triples, and therefore the dispatch
 order, stay identical.
 
+Bulk arrivals go through :meth:`Engine.schedule_stream`: a batch of one-shot
+callbacks that dispatches exactly as one :meth:`Engine.schedule_at` call per
+item would, but occupies a single heap entry — its earliest undispatched
+item — so the heap holds live work, not every future arrival.
+
 The engine optionally carries a tracer and a profiler (see :mod:`repro.obs`):
 with either attached, every dispatched callback is attributed to a label (the
 ``label=`` given at scheduling time, or the callback's ``__qualname__``) —
@@ -49,7 +54,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, List, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 __all__ = ["Engine", "Event", "Process", "SimulationError"]
 
@@ -78,6 +84,42 @@ class Event:
     def cancel(self) -> None:
         """Mark the event so the engine skips it when its time comes."""
         self.cancelled = True
+
+
+class _Stream:
+    """Time-sorted one-shot callbacks sharing one heap entry (their head).
+
+    Duck-types :class:`Event` for the dispatch loop: ``time``, ``seq`` and
+    ``label`` describe the earliest undispatched item, and ``callback``
+    pushes the next item back onto the heap *before* running the current
+    one, so an item that raises leaves the rest of its stream queued.
+    """
+
+    __slots__ = ("time", "priority", "seq", "label", "callback", "cancelled",
+                 "_heap", "_items")
+
+    def __init__(self, heap: List[tuple], items: List[tuple]):
+        self._heap = heap
+        # (time, seq, label, fn, arg), latest first: the head is popped off
+        # the end, so a dispatched item's memory is released at once
+        self._items = items
+        self.priority = 0
+        self.cancelled = False
+        self.callback = self._fire
+        self._push_head()
+
+    def _push_head(self) -> None:
+        t, seq, label, fn, _arg = self._items[-1]
+        self.time = t
+        self.seq = seq
+        self.label = label or getattr(fn, "__qualname__", "callback")
+        heapq.heappush(self._heap, (t, self.priority, seq, self))
+
+    def _fire(self) -> None:
+        _t, _seq, _label, fn, arg = self._items.pop()
+        if self._items:
+            self._push_head()
+        fn(arg)
 
 
 class Process:
@@ -170,12 +212,8 @@ class Engine:
         ``label`` names the event for profiling/tracing attribution; unnamed
         events fall back to the callback's ``__qualname__``.
         """
-        if math.isnan(time):
-            raise SimulationError("cannot schedule event at NaN time")
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: t={time} < now={self.now}"
-            )
+        if not time >= self.now:  # one test catches NaN and the past
+            self._reject_time(time)
         # direct slot stores: same object state as Event(...), minus the
         # dataclass argument plumbing on the hottest allocation in the engine
         ev = Event.__new__(Event)
@@ -187,6 +225,49 @@ class Engine:
         ev.label = label
         heapq.heappush(self._heap, (t, priority, seq, ev))
         return ev
+
+    def _reject_time(self, time: float) -> None:
+        if math.isnan(time):
+            raise SimulationError("cannot schedule event at NaN time")
+        raise SimulationError(
+            f"cannot schedule event in the past: t={time} < now={self.now}"
+        )
+
+    def schedule_stream(self, items: Iterable[Tuple[float, Optional[str],
+                                                    Callable[[Any], None], Any]]
+                        ) -> None:
+        """Schedule ``fn(arg)`` at each item's ``time``, as one heap entry.
+
+        ``items`` are ``(time, label, fn, arg)`` tuples in any order.  The
+        dispatch order, ``now`` at each dispatch and every later sequence
+        number are exactly those of one ``schedule_at(time, lambda: fn(arg),
+        label=label)`` call per item (priority 0), in the order given:
+
+        * every time is checked (NaN, past) before anything is queued, with
+          :meth:`schedule_at`'s errors;
+        * the items take consecutive sequence numbers in the order given,
+          then are stably sorted by time, so each stream is sorted by
+          ``(time, seq)``;
+        * only the earliest undispatched item sits in the heap.  Every other
+          item sorts at or after it, so the heap minimum is still the global
+          minimum (a k-way merge) and dispatch order does not change.
+
+        Stream items cannot be cancelled individually.
+        """
+        now = self.now
+        items = list(items)
+        for item in items:
+            if not item[0] >= now:
+                self._reject_time(item[0])
+        if not items:
+            return
+        base = next(self._seq)
+        self._seq = itertools.count(base + len(items))
+        entries = [(float(t), seq, label, fn, arg)
+                   for seq, (t, label, fn, arg) in enumerate(items, base)]
+        entries.sort(key=itemgetter(0))  # stable: ties keep seq order
+        entries.reverse()
+        _Stream(self._heap, entries)
 
     def reserve_seq(self, n: int = 1) -> None:
         """Advance the insertion counter by ``n`` without scheduling anything.
@@ -378,7 +459,11 @@ class Engine:
     # ------------------------------------------------------------------ #
     @property
     def pending(self) -> int:
-        """Number of queued (possibly cancelled) events."""
+        """Number of queued heap entries, cancelled events included.
+
+        A stream (:meth:`schedule_stream`) counts as one entry however many
+        of its items are still undispatched.
+        """
         return len(self._heap)
 
     @property

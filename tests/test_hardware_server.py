@@ -1,5 +1,8 @@
 """Tests for the DVFS compute server: execution, energy, preemption."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.hardware.cpu import DVFSLadder, PState
@@ -241,3 +244,55 @@ def test_completion_callback_can_submit_next(engine):
     engine.run_until(100.0)
     assert finished == [("j0", 2.0), ("j1", 4.0), ("j2", 6.0)]
     assert srv.completed_count == 3
+
+
+# --------------------------------------------------------------------------- #
+# paying cores: busy minus filler, maintained on the vector kernel
+# --------------------------------------------------------------------------- #
+def _fuzz_step(rng, eng, srv, ids):
+    """One random server operation: the sites that change busy cores."""
+    op = rng.choice(["submit", "submit", "batch", "batch", "preempt",
+                     "preempt", "filler", "advance", "advance", "kill"])
+    running = srv.running_tasks
+    if op == "submit":
+        srv.submit(Task(f"t{next(ids)}", work_cycles=rng.uniform(0.2, 4.0) * GHZ,
+                        cores=rng.randint(1, 3),
+                        metadata={"kind": rng.choice(["edge", "cloud", "filler"])}))
+    elif op == "batch":
+        # filler blocks behind an optional plain paying task, as a batch
+        batch = [Task.prevalidated(f"f{next(ids)}", rng.uniform(0.2, 4.0) * GHZ,
+                                   1, None, {"kind": "filler"},
+                                   chunks=rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            batch.insert(0, Task(f"t{next(ids)}", work_cycles=GHZ,
+                                 metadata={"kind": "edge"}))
+        srv.submit_batch(batch)
+    elif op == "preempt" and running:
+        t = rng.choice(running)
+        if t.chunks > 1 and rng.random() < 0.7:
+            srv.preempt(t.task_id, chunks=rng.randint(1, t.chunks - 1))
+        else:
+            srv.preempt(t.task_id)
+    elif op == "filler":
+        srv.preempt_kind("filler")
+    elif op == "advance":
+        eng.run_until(eng.now + rng.uniform(0.0, 3.0))   # completions
+    elif op == "kill" and rng.random() < 0.2:
+        srv.kill_all()
+
+
+@pytest.mark.parametrize("incremental", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("seed", range(6))
+def test_paying_cores_match_running_work_under_fuzz(seed, incremental):
+    rng = random.Random(seed)
+    eng = Engine()
+    eng.incremental_accounting = incremental
+    srv = ComputeServer("s", simple_spec(n_cores=16), eng)
+    ids = itertools.count()
+    for _ in range(400):
+        _fuzz_step(rng, eng, srv, ids)
+        running = srv.running_tasks
+        assert srv.paying_cores == sum(
+            t.cores for t in running if t.metadata.get("kind") != "filler")
+        assert srv.busy_cores == sum(t.cores * t.chunks for t in running)

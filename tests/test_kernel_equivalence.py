@@ -8,7 +8,9 @@ tick.  This module holds that promise under fire:
   (architecture, saturation policy, fleet size, boilers, filler, resilience
   on/off) run under both kernels and must produce identical output
   signatures: request multisets, fleet energy, executed cycles, comfort
-  statistics, smart-grid logs, event counts;
+  statistics, smart-grid logs, event counts.  Churn cities with A6's
+  cloning bundles get their own cases, so clone gating and loser
+  cancellation are held to the same standard;
 * **surrogate tolerance fuzz** (DESIGN.md §2.18) — seeded-random cities run
   under ``surrogate`` vs ``vector`` and every metric of the declared budget
   (:mod:`repro.thermal.budget`) is asserted against *those constants*:
@@ -30,6 +32,7 @@ tick.  This module holds that promise under fire:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -39,6 +42,7 @@ import pytest
 from repro.core.middleware import MiddlewareConfig
 from repro.core.resilience.config import ResilienceConfig
 from repro.core.scheduling.base import BaseScheduler, SaturationPolicy
+from repro.experiments import a6_churn
 from repro.experiments.common import mid_month_start, small_city
 from repro.hardware.qrad import QRAD_SPEC
 from repro.hardware.server import ComputeServer, Task
@@ -132,6 +136,24 @@ def test_kernels_agree_on_random_configs(cfg):
     sig_scalar = _signature(_run(cfg, "scalar"))
     sig_vector = _signature(_run(cfg, "vector"))
     assert sig_scalar == sig_vector
+
+
+@pytest.mark.parametrize("bundle", ["clone", "clone-cs", "adaptive"])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_kernels_agree_on_churn_cities_with_clone_bundles(bundle, seed):
+    """A6's churn at mtbf=2h with each cloning bundle: clone gating reads
+    paying cores, losers are cancelled by server name, and both kernels
+    still produce the same outputs and the same resilience log."""
+    cfg = dict(seed=seed, start_time=mid_month_start(1),
+               saturation_policy=SaturationPolicy.QUEUE,
+               resilience=a6_churn._resilience(2 * 3600.0,
+                                               a6_churn.BUNDLES[bundle]))
+    scalar = _run(cfg, "scalar", load_days=0.2, rate_per_hour=240.0)
+    vector = _run(cfg, "vector", load_days=0.2, rate_per_hour=240.0)
+    log = scalar.resilience.log
+    assert log.clones_spawned > 0 and log.server_failures > 0
+    assert _signature(scalar) == _signature(vector)
+    assert dataclasses.asdict(log) == dataclasses.asdict(vector.resilience.log)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,16 @@
 """Tests for low-power IoT protocols and duty-cycle gating."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.gateway import EdgeGateway
 from repro.network.lowpower import ENOCEAN, LORA, SIGFOX, ZIGBEE, LowPowerLink, LowPowerProtocol
+from repro.sim.engine import Engine
+from repro.sim.rng import RngRegistry, StandardNormals
 
 
 def test_published_parameters():
@@ -117,3 +123,62 @@ def test_property_sends_are_serialised(sizes):
     link = LowPowerLink(SIGFOX)
     times = [link.send(0.0, s) for s in sizes]
     assert all(a < b for a, b in zip(times, times[1:]))
+
+
+# --------------------------------------------------------------------------- #
+# radio jitter: block standard normals == scalar normal draws, bit for bit
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_numpy_block_normals_equal_scalar_normal_draws(seed):
+    """The numpy identity the jitter source relies on: ``standard_normal(n)``
+    yields the values of ``n`` scalar draws, and ``normal(0.0, s)`` is
+    ``0.0 + s·z``.  A numpy release that breaks either fails here."""
+    s = 0.002
+    block = np.random.default_rng(seed).standard_normal(5000).tolist()
+    scalar = np.random.default_rng(seed)
+    assert [(0.0 + s * z).hex() for z in block] == \
+        [float(scalar.normal(0.0, s)).hex() for _ in block]
+
+
+def test_standard_normals_cross_block_boundaries_seamlessly():
+    normals = StandardNormals(np.random.default_rng(5))
+    scalar = np.random.default_rng(5)
+    n = 3 * StandardNormals.BLOCK + 5
+    assert [normals.next().hex() for _ in range(n)] == \
+        [float(scalar.standard_normal()).hex() for _ in range(n)]
+
+
+def test_gateway_jitter_matches_scalar_normal_draws():
+    """A gateway's links share one block source on its stream; deliveries
+    are bit-identical to links that each draw a scalar
+    ``rng.normal(0.0, 0.002)`` per send from the same stream."""
+    seed = 11
+    block_gw = EdgeGateway(None, Engine(), protocol=LORA,
+                           rng=RngRegistry(seed).stream("edge-net-0"))
+    scalar_rng = RngRegistry(seed).stream("edge-net-0")
+    plain = {}    # jitter-free links: the same airtime and duty-cycle gating
+
+    def scalar_send(now, source, size):
+        link = plain.setdefault(source, LowPowerLink(LORA))
+        jitter = max(float(scalar_rng.normal(0.0, 0.002)), 0.0)
+        return link.send(now, size) + jitter
+
+    pick = random.Random(3)
+    sources = [f"district-0/building-{b}" for b in range(4)]
+    now = 0.0
+    n_sends = 1200
+    for _ in range(n_sends):
+        now += pick.expovariate(1.0)
+        source = pick.choice(sources)
+        size = pick.choice([0, 1, 64, 222, 223, 2000])
+        got = block_gw._link_for(source).send(now, size)
+        assert got.hex() == scalar_send(now, source, size).hex()
+    assert n_sends > 4 * StandardNormals.BLOCK      # several block refills
+    assert len(block_gw._links) == len(sources)
+    assert {id(link.normals) for link in block_gw._links.values()} == \
+        {id(block_gw.normals)}
+
+
+def test_jittery_link_needs_a_normals_source():
+    with pytest.raises(ValueError):
+        LowPowerLink(ZIGBEE, jitter_std_s=0.002)

@@ -1,5 +1,9 @@
 """Tests for the resilience subsystem: churn, detection, recovery (§III-C)."""
 
+import copy
+import gc
+import sys
+
 import pytest
 
 from repro.core.middleware import DF3Middleware, MiddlewareConfig
@@ -13,6 +17,8 @@ from repro.core.resilience import (
     ResilienceLog,
 )
 from repro.core.scheduling.base import SaturationPolicy
+from repro.hardware.server import Task
+from repro.obs import span_context
 from repro.sim.calendar import DAY, HOUR
 from repro.sim.rng import RngRegistry
 
@@ -517,6 +523,75 @@ def test_paying_load_excludes_filler():
     assert total == sum(w.n_cores for w in mw.clusters[0].workers)
     assert busy == 0  # filler keeps cores warm but is not paying load
     assert mw.clusters[0].free_cores() < total  # ...though cores *look* busy
+
+
+def _lines_executed(fn) -> int:
+    """Python lines executed by ``fn()`` (an op count, not a timer)."""
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return trace
+
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+        if gc_was_enabled:
+            gc.enable()
+    return lines
+
+
+def test_paying_load_cost_does_not_grow_with_running_tasks():
+    """Clone gating reads each server's maintained paying-core counter: one
+    paying_load call executes the same lines with 1 and with 4 running
+    tasks per server."""
+    mw = make_mw(kernel="vector", enable_filler=True)
+    rt = mw.resilience
+
+    def load_per_server(n):
+        for w in mw.clusters[0].workers:
+            for _ in range(n - len(w.running_tasks)):
+                kind = "filler" if len(w.running_tasks) % 2 else "cloud"
+                assert w.submit(Task(f"{w.name}/t{len(w.running_tasks)}",
+                                     work_cycles=1e15, metadata={"kind": kind}))
+        return _lines_executed(lambda: rt.paying_load(0))
+
+    one = load_per_server(1)
+    four = load_per_server(4)
+    assert one == four
+    busy, _total = rt.paying_load(0)
+    assert busy == 2 * len(mw.clusters[0].workers)   # filler does not pay
+
+
+def test_clone_is_a_shallow_copy_of_the_request():
+    """The clone carries the primary's instance dict, extras included, as
+    copy.copy would make it; only its id differs."""
+    mw = make_mw(recovery=RecoveryConfig(clone=True,
+                                         clone_deadline_threshold_s=10.0))
+    submitted = []
+    for gw in mw.edge_gateways.values():
+        gw.submit = submitted.append
+    req = edge(T0, deadline=8.0)
+    req.__dict__["_retry_attempts"] = 2
+    req.__dict__["_return_delay_s"] = 0.25
+    span_context(req)
+    mw.resilience.submit_cloned(req, 0, 1)
+    primary, clone = submitted
+    assert primary is req and type(clone) is type(req)
+    expected = vars(copy.copy(req))
+    got = vars(clone)
+    assert got.keys() == expected.keys()
+    assert got.pop("request_id") == f"{expected.pop('request_id')}#clone"
+    assert all(got[k] is expected[k] for k in expected)
+    assert {"_retry_attempts", "_return_delay_s", "_clone_group"} <= got.keys()
 
 
 # --------------------------------------------------------------------------- #

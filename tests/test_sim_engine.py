@@ -175,3 +175,67 @@ def test_reserve_seq_negative_raises():
     with pytest.raises(SimulationError):
         eng.reserve_seq(-1)
     assert eng.schedule(1.0, lambda: None).seq == 0   # nothing consumed
+
+
+def test_stream_dispatches_sorted_and_counts_as_one_entry():
+    eng = Engine()
+    order = []
+    eng.schedule_stream([(3.0, "x", order.append, "c"),
+                         (1.0, "x", order.append, "a"),
+                         (3.0, "x", order.append, "d"),
+                         (2.0, "x", order.append, "b")])
+    assert eng.pending == 1
+    assert eng.schedule(0.0, lambda: None).seq == 4   # items took seqs 0-3
+    eng.run_until(5.0)
+    assert order == ["a", "b", "c", "d"]
+    assert eng.events_executed == 5
+    assert eng.pending == 0
+
+
+def test_raising_stream_item_leaves_next_item_queued():
+    eng = Engine()
+    ran = []
+
+    def boom(arg):
+        raise RuntimeError(arg)
+
+    eng.schedule_stream([(1.0, None, boom, "first"),
+                         (2.0, None, ran.append, "second")])
+    with pytest.raises(RuntimeError, match="first"):
+        eng.run_until(5.0)
+    assert eng.pending == 1
+    assert eng.peek_time() == 2.0
+    eng.run_until(5.0)
+    assert ran == ["second"]
+
+
+@pytest.mark.parametrize("bad, match", [(float("nan"), "NaN"), (50.0, "past")])
+def test_stream_rejects_bad_time_before_queuing_anything(bad, match):
+    eng = Engine(start=100.0)
+    with pytest.raises(SimulationError, match=match):
+        eng.schedule_stream([(150.0, None, print, 1), (bad, None, print, 2),
+                             (160.0, None, print, 3)])
+    assert eng.pending == 0
+    assert eng.schedule(0.0, lambda: None).seq == 0   # nothing consumed
+
+
+def test_injected_edge_load_holds_one_heap_entry_per_inject_call():
+    """Pending injections are streams, not one heap entry per request:
+    two days of dense edge traffic injected in four calls leave the heap
+    with the city's tick event plus one entry per call."""
+    from repro.experiments.common import small_city
+    from repro.sim.calendar import DAY
+    from repro.sim.rng import RngRegistry
+    from repro.workloads.edge import EdgeWorkloadConfig, EdgeWorkloadGenerator
+
+    mw = small_city(seed=3)
+    rngs = RngRegistry(3)
+    t0 = mw.engine.now
+    calls = 0
+    for bname in mw.buildings:
+        gen = EdgeWorkloadGenerator(rngs.stream(f"edge-{bname}"), source=bname,
+                                    config=EdgeWorkloadConfig(rate_per_hour=600.0))
+        mw.inject(gen.generate(t0, t0 + 2 * DAY))
+        calls += 1
+    assert calls == 4
+    assert mw.engine.pending <= 1 + calls

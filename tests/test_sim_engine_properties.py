@@ -11,10 +11,15 @@ example-based tests only spot-check:
   order of surviving events;
 * **tick fusion** — processes registered into one ``group`` observe exactly
   the ``(now, dt)`` sequence their unfused twins would, in registration
-  order, while dispatching as a single event per tick.
+  order, while dispatching as a single event per tick;
+* **streams** — a :meth:`~repro.sim.engine.Engine.schedule_stream` batch
+  dispatches with exactly the ``(time, priority, seq)`` keys, callbacks and
+  later sequence numbers of one ``schedule_at`` call per item.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,3 +177,81 @@ def test_same_period_different_offsets_do_not_fuse():
     # distinct (group, period, offset) keys -> separate events, phase-shifted
     assert calls == ["a", "b"]
     assert eng.events_executed == 2
+
+
+# --------------------------------------------------------------------------- #
+# streams
+# --------------------------------------------------------------------------- #
+# what a dispatched callback does: nothing, schedule a child ``dt`` from now,
+# schedule a child stream, or cancel one of the cancellable (``schedule_at``)
+# events created so far.  Streams run at priority 0, among schedule_at events
+# of priorities on both sides of it.
+actions = st.one_of(
+    st.none(),
+    st.tuples(st.just("child"), times, priorities),
+    st.tuples(st.just("stream"), st.lists(times, max_size=4)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
+)
+at_ops = st.tuples(st.just("at"), times, priorities, actions)
+stream_ops = st.tuples(st.just("stream"),
+                       st.lists(st.tuples(times, actions), max_size=12))
+
+
+def _run_program(program, streams: bool):
+    """Run ``program`` with stream ops as streams, or as per-item schedule_at.
+
+    Returns the dispatch log — the ``(time, priority, seq)`` key of every
+    dispatched heap entry, then what its callback logged — and the next
+    sequence number the engine hands out.
+    """
+    eng = Engine()
+    log = []
+    cancellable = []
+    child_ids = itertools.count()
+
+    def stream(items):
+        if streams:
+            eng.schedule_stream([(t, "stream", fire, a) for t, a in items])
+        else:
+            for t, a in items:
+                eng.schedule_at(t, lambda a=a: fire(a), label="stream")
+
+    def fire(arg):
+        name, action = arg
+        log.append((name, eng.now))
+        if action is None:
+            return
+        if action[0] == "child":
+            _, dt, prio = action
+            cancellable.append(eng.schedule_at(
+                eng.now + dt, lambda a=(f"c{next(child_ids)}", None): fire(a),
+                priority=prio))
+        elif action[0] == "stream":
+            stream([(eng.now + dt, (f"c{next(child_ids)}", None))
+                    for dt in action[1]])
+        elif cancellable:
+            cancellable[action[1] % len(cancellable)].cancel()
+
+    for i, op in enumerate(program):
+        if op[0] == "at":
+            _, t, prio, action = op
+            cancellable.append(eng.schedule_at(
+                t, lambda a=(f"a{i}", action): fire(a), priority=prio))
+        else:
+            stream([(t, (f"s{i}.{k}", action))
+                    for k, (t, action) in enumerate(op[1])])
+    while eng.peek_time() is not None:   # peek drops cancelled heads
+        log.append(eng._heap[0][:3])
+        eng.step()
+    return log, eng.schedule_at(eng.now, lambda: None).seq
+
+
+@given(st.lists(st.one_of(at_ops, stream_ops), min_size=1, max_size=12))
+@settings(max_examples=300)
+def test_streams_dispatch_as_per_item_schedule_at(program):
+    """Unsorted streams with tied times, mixed with schedule_at events whose
+    callbacks schedule children and cancel pending events: every dispatched
+    key, every callback and the next sequence number match the run that
+    schedules each stream item on its own."""
+    assert _run_program(program, streams=True) == \
+        _run_program(program, streams=False)
