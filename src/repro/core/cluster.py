@@ -16,7 +16,7 @@ DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.server import ComputeServer
 
@@ -38,6 +38,9 @@ class Cluster:
     def __init__(self, config: ClusterConfig, workers: Optional[Sequence[ComputeServer]] = None):
         self.config = config
         self._workers: Dict[str, ComputeServer] = {}
+        #: the workers in insertion order, rebuilt by add_worker only:
+        #: placement and queue draining read it on every request
+        self._worker_tuple: Tuple[ComputeServer, ...] = ()
         self._dedicated_edge: set[str] = set()
         for w in workers or []:
             self.add_worker(w)
@@ -53,6 +56,7 @@ class Cluster:
         if server.name in self._workers:
             raise ValueError(f"worker {server.name!r} already in cluster {self.name}")
         self._workers[server.name] = server
+        self._worker_tuple = tuple(self._workers.values())
         if dedicated_edge:
             self._dedicated_edge.add(server.name)
 
@@ -64,9 +68,9 @@ class Cluster:
 
     # ------------------------------------------------------------------ #
     @property
-    def workers(self) -> List[ComputeServer]:
-        """All workers, in insertion order."""
-        return list(self._workers.values())
+    def workers(self) -> Tuple[ComputeServer, ...]:
+        """All workers, in insertion order (a shared, immutable tuple)."""
+        return self._worker_tuple
 
     @property
     def edge_dedicated_workers(self) -> List[ComputeServer]:

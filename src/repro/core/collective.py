@@ -96,17 +96,26 @@ class CollectiveController:
             )
         cfg = self.config
         target = self.mean_target_c
-        mean_err = target - float(temps.mean())
+        mean = float(temps.mean())
         # per room: push its target up by the mean error, plus a term that
-        # shifts budget from rooms above the mean to rooms below it
-        relative = temps - temps.mean()
-        raw = np.full(temps.shape, target) + cfg.gain * mean_err - 0.5 * relative
-        lo = max(cfg.floor_c, target - cfg.max_spread_c)
-        hi = min(cfg.ceiling_c, target + cfg.max_spread_c)
-        new_targets = np.clip(raw, lo, hi)
-        for reg, t in zip(self.regulators, new_targets):
-            reg.set_target(float(t))
-        return [float(t) for t in new_targets]
+        # shifts budget from rooms above the mean to rooms below it.  Plain
+        # float64 scalars: the same IEEE operations, in the same order, as
+        # the elementwise array form target + gain·err - 0.5·(t - mean)
+        base = target + cfg.gain * (target - mean)
+        lo = float(max(cfg.floor_c, target - cfg.max_spread_c))
+        hi = float(min(cfg.ceiling_c, target + cfg.max_spread_c))
+        new_targets = []
+        for reg, t in zip(self.regulators, temps.tolist()):
+            raw = base - 0.5 * (t - mean)
+            # np.clip's order: raise to lo, then cap at hi (hi wins when
+            # lo > hi; NaN passes through both tests)
+            if raw < lo:
+                raw = lo
+            if raw > hi:
+                raw = hi
+            reg.set_target(raw)
+            new_targets.append(raw)
+        return new_targets
 
     def mean_error_c(self, room_temps_c) -> float:
         """Current mean-temperature error (0 when inactive)."""

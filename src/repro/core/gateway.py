@@ -96,22 +96,29 @@ class EdgeGateway:
             # (§IV); the request never reaches the radio link
             self._reject_or_retry(req)
             return
-        link = self._link_for(req.source or "unknown")
-        delivered = link.send(self.engine.now, int(req.input_bytes))
-        radio_delay = delivered - self.engine.now
+        source = req.source or "unknown"
+        link = self._links.get(source)
+        if link is None:
+            link = self._link_for(source)
+        engine = self.engine
+        now = engine.now
+        delivered = link.send(now, int(req.input_bytes))
+        radio_delay = delivered - now
         req.network_delay_s += radio_delay
 
         if req.mode is EdgeMode.DIRECT:
             if direct_target is None:
                 raise ValueError("direct edge request needs a target server")
             self.direct_requests += 1
-            self.engine.schedule(radio_delay + _DIRECT_LAN_S,
-                                 lambda: self._direct_place(req, direct_target))
+            engine.schedule(radio_delay + _DIRECT_LAN_S,
+                            lambda: self._direct_place(req, direct_target))
         else:
             overhead = self.scheduler.cluster.config.master_overhead_s
             req.network_delay_s += overhead
-            self.engine.schedule(radio_delay + overhead,
-                                 lambda: self.scheduler.submit_edge(req))
+            # engine.schedule(delay, ...) without its extra call: the same
+            # now + delay sum
+            engine.schedule_at(now + (radio_delay + overhead),
+                               lambda: self.scheduler.submit_edge(req))
 
     def resubmit(self, req: EdgeRequest) -> None:
         """Re-enter a request that already paid its delivery delays.

@@ -452,7 +452,10 @@ class DF3Middleware:
                     self._wanted_cache = (bank.version,
                                           bank.heat_wanted_mask().tolist())
                 wanted = self._wanted_cache[1][i]
-            return (0 if wanted else 1, -server.free_cores)
+            # -free_cores, read off the maintained counters
+            return (0 if wanted else 1,
+                    server._busy_cores - server.spec.n_cores
+                    if server._enabled else 0)
         room = self._server_room.get(server.name)
         if room is None:  # boiler: wants heat while the tank has headroom
             wanted = any(
@@ -796,7 +799,9 @@ class DF3Middleware:
 
     def submit_edge(self, req: EdgeRequest, direct_target: Optional[str] = None) -> None:
         """Third flow: local request through its district's edge gateway."""
-        d = self._district_of(req.source)
+        d = self._source_district.get(req.source)
+        if d is None:
+            d = self._district_of(req.source)
         if d not in self.edge_gateways:
             raise ValueError(f"no such district {d}")
         if self.surrogate is not None:

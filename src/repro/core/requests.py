@@ -16,6 +16,7 @@ of requests without auxiliary bookkeeping.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -116,12 +117,16 @@ class _ComputeRequest:
     network_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.cycles <= 0:
-            raise ValueError(f"cycles must be > 0, got {self.cycles}")
+        # the chained comparisons also reject NaN (every comparison with it
+        # is False): NaN cycles would poison server accounting, infinite
+        # ones hold a core forever
+        if not 0 < self.cycles < math.inf:
+            raise ValueError(f"cycles must be finite and > 0, got {self.cycles}")
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
-        if self.input_bytes < 0 or self.output_bytes < 0:
-            raise ValueError("message sizes must be >= 0")
+        if not (0 <= self.input_bytes < math.inf
+                and 0 <= self.output_bytes < math.inf):
+            raise ValueError("message sizes must be finite and >= 0")
 
     # ------------------------------------------------------------------ #
     @property
@@ -170,8 +175,8 @@ class EdgeRequest(_ComputeRequest):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.deadline_s <= 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline_s}")
+        if not 0 < self.deadline_s < math.inf:
+            raise ValueError(f"deadline must be finite and > 0, got {self.deadline_s}")
 
     def deadline_met(self) -> bool:
         """True when the request completed within its deadline."""

@@ -124,43 +124,53 @@ class BaseScheduler(ABC):
         return sorted(workers, key=self.worker_priority)
 
     def _best_worker(self, workers: Sequence[ComputeServer], cores: int):
-        """First worker, in priority order, with ``cores`` free.
+        """First worker, in priority order, with ``cores`` (>= 1) free.
 
         Equivalent to ``self._ordered(workers)`` followed by a first-fit
         probe — ``sorted`` is stable and a strict ``<`` keeps the earliest
         minimum, so the chosen worker is identical — but the priority key is
         only evaluated for workers that can actually host the request, which
         keeps placement scans O(workers with capacity) instead of
-        O(fleet · log fleet) in key work.
+        O(fleet · log fleet) in key work.  Incremental kernel only: free
+        cores come straight off each server's maintained counters.
         """
         key_fn = self.worker_priority
         if key_fn is None:
             for w in workers:
-                if w.free_cores >= cores:
+                if w._enabled and w.spec.n_cores - w._busy_cores >= cores:
                     return w
             return None
         best = None
         best_key = None
+        evals = 0
         for w in workers:
-            if w.free_cores < cores:
+            if not w._enabled or w.spec.n_cores - w._busy_cores < cores:
                 continue
-            self.scan_key_evals += 1
+            evals += 1
             key = key_fn(w)
             if best is None or key < best_key:
                 best, best_key = w, key
+        self.scan_key_evals += evals
         return best
 
     # ------------------------------------------------------------------ #
     # placement primitives
     # ------------------------------------------------------------------ #
     def _make_task(self, req, kind: str) -> Task:
-        return Task(
-            task_id=req.request_id,
-            work_cycles=req.cycles,
-            cores=req.cores,
-            on_complete=lambda task, now: self._on_task_complete(req, kind, now),
-            metadata={"request": req, "kind": kind},
-        )
+        """The task running ``req``: Task's own checks, then its fast build.
+
+        Completion lands in :meth:`_on_task_complete`, which finds the
+        request and its flow in the task's metadata.
+        """
+        cycles = req.cycles
+        cores = req.cores
+        if cycles <= 0:
+            raise ValueError(f"work_cycles must be > 0, got {cycles}")
+        if cores < 1:
+            raise ValueError(f"cores must be >= 1, got {cores}")
+        return Task.prevalidated(req.request_id, cycles, cores,
+                                 self._on_task_complete,
+                                 {"request": req, "kind": kind})
 
     def _note_placed(self, req, kind: str, worker_name: str) -> None:
         """Record a successful placement on the request and the trace."""
@@ -228,7 +238,10 @@ class BaseScheduler(ABC):
             worker.preempt(t.task_id, chunks=min(t.chunks, -(-need // t.cores)))
         return True
 
-    def _on_task_complete(self, req, kind: str, now: float) -> None:
+    def _on_task_complete(self, task: Task, now: float) -> None:
+        meta = task.metadata
+        req = meta["request"]
+        kind = meta["kind"]
         if kind == "edge":
             group = req.__dict__.get("_clone_group")
             if group is not None:
@@ -266,17 +279,18 @@ class BaseScheduler(ABC):
     # submission API
     # ------------------------------------------------------------------ #
     def _note_admitted(self, req, kind: str) -> None:
+        """Record an admission; callers check ``obs.active`` first."""
         obs = self.obs
-        if obs.active:
-            obs.emit_span("request", f"{kind}.admitted", self.engine.now,
-                          ctx=req, id=req.request_id, cluster=self.cluster.name)
-            obs.counter("requests_admitted", flow=kind,
-                        cluster=self.cluster.name).inc()
+        obs.emit_span("request", f"{kind}.admitted", self.engine.now,
+                      ctx=req, id=req.request_id, cluster=self.cluster.name)
+        obs.counter("requests_admitted", flow=kind,
+                    cluster=self.cluster.name).inc()
 
     def submit_cloud(self, req: CloudRequest) -> None:
         """Admit a cloud request: place now or FCFS-queue."""
         self.stats.cloud_submitted += 1
-        self._note_admitted(req, "cloud")
+        if self.obs.active:
+            self._note_admitted(req, "cloud")
         if not self._try_place(req, "cloud", self.cloud_workers()):
             req.status = RequestStatus.QUEUED
             self.cloud_queue.push(req)
@@ -316,7 +330,8 @@ class BaseScheduler(ABC):
         if req.__dict__.get("_clone_cancelled"):
             return  # its sibling already won while this copy was in flight
         self.stats.edge_submitted += 1
-        self._note_admitted(req, "edge")
+        if self.obs.active:
+            self._note_admitted(req, "edge")
         if self._try_place(req, "edge", self.edge_workers()):
             self.stats.edge_placed_immediately += 1
             return

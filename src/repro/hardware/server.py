@@ -133,6 +133,19 @@ class ServerSpec:
             raise ValueError("need 0 <= p_idle <= p_max")
         if not 0.0 <= self.heat_fraction <= 1.0:
             raise ValueError("heat_fraction must be in [0, 1]")
+        # derived constants of the frozen envelope, computed once per spec
+        # and shared by every server of the model.  They are plain instance
+        # attributes, not dataclass fields, so equality, hashing and the
+        # runner's canonical cache keys see only the fields above.
+        ladder = self.ladder
+        set_ = object.__setattr__
+        #: per P-state f·V² power factor (``ladder.power_scale(i)``)
+        set_(self, "power_scales", tuple(ladder.power_scale(i)
+                                         for i in range(len(ladder))))
+        #: per P-state core rate in cycles/s (``ladder[i].freq_ghz * 1e9``)
+        set_(self, "rates_hz", tuple(s.freq_ghz * _GHZ for s in ladder.states))
+        #: dynamic power span ``p_max_w - p_idle_w``
+        set_(self, "p_span_w", self.p_max_w - self.p_idle_w)
 
 
 class ComputeServer:
@@ -260,23 +273,26 @@ class ComputeServer:
         """Per-core execution rate at the current P-state."""
         if self._rate_cache is not None:
             return self._rate_cache
-        rate = (
-            self.spec.ladder[self._freq_cap].freq_ghz * _GHZ if self._enabled else 0.0
-        )
+        rate = self.spec.rates_hz[self._freq_cap] if self._enabled else 0.0
         if self._incremental:
             self._rate_cache = rate
         return rate
 
     def power_w(self) -> float:
-        """Instantaneous electrical draw (W)."""
+        """Instantaneous electrical draw (W).
+
+        ``P_idle + (P_max − P_idle) · util · powerscale(f)``, from the spec's
+        precomputed span and power factors; same association as that formula.
+        """
         if self._power_cache is not None:
             return self._power_cache
         if not self._enabled:
             p = 0.0
         else:
-            util = self.utilization
-            scale = self.spec.ladder.power_scale(self._freq_cap)
-            p = self.spec.p_idle_w + (self.spec.p_max_w - self.spec.p_idle_w) * util * scale
+            spec = self.spec
+            busy = self._busy_cores if self._incremental else self.busy_cores
+            p = (spec.p_idle_w + spec.p_span_w * (busy / spec.n_cores)
+                 * spec.power_scales[self._freq_cap])
         if self._incremental:
             self._power_cache = p
         return p
@@ -351,7 +367,9 @@ class ComputeServer:
         self._completion_event = None
         self.sync()
         now = self.engine.now
-        rate = self.core_rate_cycles_per_s()
+        rate = self._rate_cache
+        if rate is None:
+            rate = self.core_rate_cycles_per_s()
         # threshold = max(_CYCLE_EPS, rate * t.cores * _TIME_EPS), branch form
         finished = []
         for t in self._running.values():
@@ -388,8 +406,11 @@ class ComputeServer:
                 f"task {task.task_id!r} needs {task.cores} cores; "
                 f"{self.name} has {self.spec.n_cores}"
             )
-        self.sync()
-        if not self._enabled or task.cores > self.free_cores:
+        self.sync()  # a no-op at an unchanged clock, kept: one sync per submit
+        if not self._enabled:
+            return False
+        busy = self._busy_cores if self._incremental else self.busy_cores
+        if task.cores > self.spec.n_cores - busy:
             return False
         task.state = TaskState.RUNNING
         task.submitted_at = self.engine.now if task.submitted_at < 0 else task.submitted_at
@@ -519,13 +540,20 @@ class ComputeServer:
     # power / DVFS control
     # ------------------------------------------------------------------ #
     def set_freq_cap(self, index: int) -> None:
-        """Clamp the P-state (the heat regulator's actuator)."""
-        if not 0 <= index < len(self.spec.ladder):
-            raise ValueError(f"freq index {index} out of range 0..{len(self.spec.ladder)-1}")
+        """Clamp the P-state (the heat regulator's actuator).
+
+        Setting the cap it already has keeps the power and rate caches
+        (their inputs are unchanged), but still syncs and re-arms the
+        completion event, exactly as a change does.
+        """
+        n = len(self.spec.power_scales)
+        if not 0 <= index < n:
+            raise ValueError(f"freq index {index} out of range 0..{n - 1}")
         self.sync()
+        if index != self._freq_cap:
+            self._power_cache = None
+            self._rate_cache = None
         self._freq_cap = index
-        self._power_cache = None
-        self._rate_cache = None
         self._reschedule_completion()
 
     def power_off(self) -> None:

@@ -49,10 +49,10 @@ loop is exactly the uninstrumented fast path.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter
 from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Optional, Tuple
@@ -113,12 +113,17 @@ class _Stream:
         self.time = t
         self.seq = seq
         self.label = label or getattr(fn, "__qualname__", "callback")
-        heapq.heappush(self._heap, (t, self.priority, seq, self))
+        heappush(self._heap, (t, self.priority, seq, self))
 
     def _fire(self) -> None:
-        _t, _seq, _label, fn, arg = self._items.pop()
-        if self._items:
-            self._push_head()
+        items = self._items
+        _t, _seq, _label, fn, arg = items.pop()
+        if items:  # _push_head, inline: one push per dispatched item
+            t, seq, label, nfn, _arg = items[-1]
+            self.time = t
+            self.seq = seq
+            self.label = label or getattr(nfn, "__qualname__", "callback")
+            heappush(self._heap, (t, self.priority, seq, self))
         fn(arg)
 
 
@@ -223,7 +228,7 @@ class Engine:
         ev.callback = callback
         ev.cancelled = False
         ev.label = label
-        heapq.heappush(self._heap, (t, priority, seq, ev))
+        heappush(self._heap, (t, priority, seq, ev))
         return ev
 
     def _reject_time(self, time: float) -> None:
@@ -362,8 +367,10 @@ class Engine:
         if horizon < self.now:
             raise SimulationError(f"horizon {horizon} is before now={self.now}")
         instrumented = self.tracer is not None or self.profiler is not None
-        while self._heap and self._heap[0][0] <= horizon:
-            ev = heapq.heappop(self._heap)[3]
+        heap = self._heap  # the engine never rebinds its heap
+        pop = heappop
+        while heap and heap[0][0] <= horizon:
+            ev = pop(heap)[3]
             if ev.cancelled:
                 continue
             self.now = ev.time
@@ -397,7 +404,7 @@ class Engine:
         while self._heap and self._heap[0][0] <= horizon:
             if max_events is not None and executed >= max_events:
                 return executed
-            ev = heapq.heappop(self._heap)[3]
+            ev = heappop(self._heap)[3]
             if ev.cancelled:
                 continue
             self.now = ev.time
@@ -430,7 +437,7 @@ class Engine:
     def step(self) -> bool:
         """Execute the single next event.  Returns False if the queue is empty."""
         while self._heap:
-            ev = heapq.heappop(self._heap)[3]
+            ev = heappop(self._heap)[3]
             if ev.cancelled:
                 continue
             self.now = ev.time
@@ -474,5 +481,5 @@ class Engine:
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when the queue is empty."""
         while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+            heappop(self._heap)
         return self._heap[0][0] if self._heap else None

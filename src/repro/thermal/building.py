@@ -86,7 +86,12 @@ class Room:
 
     def heater_power_w(self) -> float:
         """Total thermal power currently delivered by attached sources (W)."""
-        return sum(s.heat_output_w() for s in self.heat_sources) + self.aux_heat_w
+        sources = self.heat_sources
+        if len(sources) == 1:
+            # sum() would add its int 0 start first; 0 + x is x bit for bit
+            # for every output except -0.0, which no server reports
+            return sources[0].heat_output_w() + self.aux_heat_w
+        return sum(s.heat_output_w() for s in sources) + self.aux_heat_w
 
     def occupancy_gain_w(self, hour_of_day: float) -> float:
         """Internal gains (W) at the given local hour."""

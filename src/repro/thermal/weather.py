@@ -109,6 +109,8 @@ class Weather:
 
     # ------------------------------------------------------------------ #
     def _check(self, t: np.ndarray) -> None:
+        if t.ndim == 0 and 0.0 <= float(t) <= self.horizon:
+            return  # a scalar query in range: two float comparisons
         if np.any(t < 0) or np.any(t > self.horizon):
             raise ValueError(
                 f"weather query outside [0, {self.horizon}]: "

@@ -11,6 +11,8 @@ diff, and commit it alongside the change that caused it::
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 
@@ -31,3 +33,29 @@ def update_golden(request: pytest.FixtureRequest) -> bool:
 def _isolated_cli_cache(tmp_path, monkeypatch):
     """Keep `repro run`'s default result cache out of the working tree."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro_cache"))
+
+
+@pytest.fixture
+def python_calls():
+    """``count(fn, *args)``: Python-level calls one ``fn(*args)`` makes.
+
+    ``fn`` itself counts as one; calls into C builtins do not count.  The
+    profiler's ``'call'`` events make this an operation count, not a timer,
+    so op-count guards built on it are stable on any host.
+    """
+    def count(fn, *args) -> int:
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    return count

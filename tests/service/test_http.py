@@ -115,10 +115,18 @@ def test_scenario_mutation_round_trip(served_twin):
 
 
 def test_bad_requests_are_400_not_500(served_twin):
-    _, base = served_twin
+    twin, base = served_twin
+    injected = dict(twin.injected)
     cases = [
         ("/api/inject", {"flow": "quantum"}),
         ("/api/inject", {"flow": "edge", "source": "no-such-building"}),
+        # non-finite sizes would complete with NaN cycles or hold a core
+        # forever, and a NaN deadline breaks the EDF queue's ordering
+        ("/api/inject", {"flow": "edge", "cycles": "nan"}),
+        ("/api/inject", {"flow": "edge", "cycles": "inf"}),
+        ("/api/inject", {"flow": "edge", "deadline_s": "nan"}),
+        ("/api/inject", {"flow": "edge", "deadline_s": "inf"}),
+        ("/api/inject", {"flow": "cloud", "cycles": "nan"}),
         ("/api/scenario", {}),
         ("/api/scenario", {"kill_district": 99}),
         ("/api/control", {"action": "warp"}),
@@ -127,6 +135,7 @@ def test_bad_requests_are_400_not_500(served_twin):
         with pytest.raises(urllib.error.HTTPError) as err:
             post(base, path, body)
         assert err.value.code == 400, (path, body)
+    assert twin.injected == injected        # nothing reached the city
     # malformed JSON body
     req = urllib.request.Request(base + "/api/inject", data=b"not json{",
                                  method="POST")

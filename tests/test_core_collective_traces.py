@@ -66,6 +66,66 @@ def test_shape_mismatch_rejected():
         ctrl.update(np.array([20.0, 20.0]))
 
 
+class _Setpoint:
+    """Regulator stand-in that records targets without range checks."""
+
+    setpoint_c = 20.0
+
+    def set_target(self, setpoint_c):
+        self.setpoint_c = setpoint_c
+
+
+def _array_update(temps, target, cfg):
+    """The per-room targets in their numpy array form (np.full + np.clip)."""
+    temps = np.asarray(temps, dtype=float)
+    mean_err = target - float(temps.mean())
+    relative = temps - temps.mean()
+    raw = np.full(temps.shape, target) + cfg.gain * mean_err - 0.5 * relative
+    lo = max(cfg.floor_c, target - cfg.max_spread_c)
+    hi = min(cfg.ceiling_c, target + cfg.max_spread_c)
+    return [float(t) for t in np.clip(raw, lo, hi)]
+
+
+def test_update_equals_the_array_form_bit_for_bit():
+    """100,000 seeded households of 2-6 rooms, compared with float.hex.
+
+    Targets span the whole accepted 5-30 °C range, so the bounds cross
+    (floor above target + spread) as well as clip at each end; rooms range
+    far enough from the target to hit both bounds.
+    """
+    rng = np.random.default_rng(19)
+    configs = [CollectiveConfig(), CollectiveConfig(gain=0.35, floor_c=17.5),
+               CollectiveConfig(gain=2.5, ceiling_c=22.0, max_spread_c=1.25)]
+    n = 100_000
+    sizes = rng.integers(2, 7, size=n).tolist()
+    targets = rng.uniform(5.0, 30.0, size=n).tolist()
+    picks = rng.integers(0, len(configs), size=n).tolist()
+    temps = rng.normal(0.0, 4.0, size=(n, 6))
+    ctrls = {(k, m): CollectiveController([_Setpoint() for _ in range(m)], cfg)
+             for k, cfg in enumerate(configs) for m in range(2, 7)}
+    at_lo = at_hi = crossed = 0
+    for size, target, k, offsets in zip(sizes, targets, picks, temps):
+        ctrl = ctrls[k, size]
+        ctrl.mean_target_c = target
+        room_temps = target + offsets[:size]
+        got = ctrl.update(room_temps)
+        want = _array_update(room_temps, target, configs[k])
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+        assert [r.setpoint_c for r in ctrl.regulators] == got
+        cfg = configs[k]
+        lo = max(cfg.floor_c, target - cfg.max_spread_c)
+        hi = min(cfg.ceiling_c, target + cfg.max_spread_c)
+        crossed += lo > hi
+        at_lo += lo < hi and min(got) == lo
+        at_hi += lo < hi and max(got) == hi
+    assert min(at_lo, at_hi, crossed) > 1000
+    # NaN passes through both bounds, as np.clip lets it
+    ctrl = ctrls[0, 2]
+    got = ctrl.update([float("nan"), 20.0])
+    assert all(np.isnan(got)) and all(np.isnan(_array_update(
+        [float("nan"), 20.0], ctrl.mean_target_c, configs[0])))
+
+
 def test_collective_beats_uniform_on_heterogeneous_rooms():
     """Closed loop: a lossy room drags the uniform mean down; the collective
 

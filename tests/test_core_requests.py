@@ -50,12 +50,21 @@ def test_rejected_is_terminal():
 
 
 def test_compute_request_validation():
-    with pytest.raises(ValueError):
-        CloudRequest(cycles=0.0, time=0.0)
-    with pytest.raises(ValueError):
-        CloudRequest(cycles=1e9, time=0.0, cores=0)
-    with pytest.raises(ValueError):
-        CloudRequest(cycles=1e9, time=0.0, input_bytes=-1.0)
+    bad = [
+        dict(cycles=0.0),
+        dict(cores=0),
+        dict(input_bytes=-1.0),
+        # non-finite inputs: NaN cycles would fold NaN into server
+        # accounting, infinite cycles hold a core forever
+        dict(cycles=float("nan")),
+        dict(cycles=float("inf")),
+        dict(input_bytes=float("nan")),
+        dict(output_bytes=float("inf")),
+    ]
+    for cls in (CloudRequest, EdgeRequest):
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                cls(**{"cycles": 1e9, "time": 0.0, **kwargs})
 
 
 def test_edge_request_deadline():
@@ -73,8 +82,10 @@ def test_edge_request_deadline_miss():
 
 
 def test_edge_request_validation():
-    with pytest.raises(ValueError):
-        EdgeRequest(cycles=1e8, time=0.0, deadline_s=0.0)
+    # a NaN deadline would break the EDF queue's ordering
+    for deadline_s in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            EdgeRequest(cycles=1e8, time=0.0, deadline_s=deadline_s)
 
 
 def test_edge_modes():

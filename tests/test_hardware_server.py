@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from repro.hardware.boiler import STIMERGY_SMALL
 from repro.hardware.cpu import DVFSLadder, PState
+from repro.hardware.datacenter import DC_NODE_SPEC
+from repro.hardware.qrad import CRYPTO_SPEC, ERADIATOR_SPEC, QRAD_SPEC
 from repro.hardware.server import ComputeServer, ServerSpec, Task, TaskState
 from repro.sim.engine import Engine
 
@@ -296,3 +299,85 @@ def test_paying_cores_match_running_work_under_fuzz(seed, incremental):
         assert srv.paying_cores == sum(
             t.cores for t in running if t.metadata.get("kind") != "filler")
         assert srv.busy_cores == sum(t.cores * t.chunks for t in running)
+
+
+# --------------------------------------------------------------------------- #
+# power and rate from per-spec constants
+# --------------------------------------------------------------------------- #
+def _vector_engine():
+    eng = Engine()
+    eng.incremental_accounting = True
+    return eng
+
+
+@pytest.mark.parametrize("incremental", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize(
+    "spec", [QRAD_SPEC, ERADIATOR_SPEC, CRYPTO_SPEC, STIMERGY_SMALL.server,
+             DC_NODE_SPEC], ids=lambda spec: spec.model)
+def test_power_and_rate_equal_the_spec_expressions_bit_for_bit(spec, incremental):
+    """Every P-state x busy count x power state, compared with float.hex."""
+    eng = Engine()
+    eng.incremental_accounting = incremental
+    srv = ComputeServer("s", spec, eng)
+    ladder = spec.ladder
+
+    def check(busy):
+        for i in range(len(ladder)):
+            srv.set_freq_cap(i)
+            srv._power_cache = srv._rate_cache = None   # force a recompute
+            if srv.enabled:
+                power = (spec.p_idle_w + (spec.p_max_w - spec.p_idle_w)
+                         * (busy / spec.n_cores) * ladder.power_scale(i))
+                rate = ladder[i].freq_ghz * 1e9
+            else:
+                power = rate = 0.0
+            assert srv.power_w().hex() == power.hex(), (i, busy)
+            assert srv.core_rate_cycles_per_s().hex() == rate.hex(), (i, busy)
+
+    srv.power_off()
+    check(0)
+    srv.power_on()
+    for busy in range(spec.n_cores + 1):
+        if busy:
+            assert srv.submit(Task(f"t{busy}", 1e18))
+        check(busy)
+
+
+def test_spec_constants_stay_out_of_equality_and_hashing():
+    twin = ServerSpec(QRAD_SPEC.model, QRAD_SPEC.n_cores, QRAD_SPEC.ladder,
+                      QRAD_SPEC.p_idle_w, QRAD_SPEC.p_max_w,
+                      QRAD_SPEC.heat_fraction)
+    assert twin == QRAD_SPEC and hash(twin) == hash(QRAD_SPEC)
+    assert "power_scales" not in repr(QRAD_SPEC)
+    a = ComputeServer("a", QRAD_SPEC, Engine())
+    b = ComputeServer("b", QRAD_SPEC, Engine())
+    assert a.spec.rates_hz is b.spec.rates_hz     # one copy per model
+
+
+def test_power_and_rate_recompute_make_no_nested_calls(python_calls):
+    srv = ComputeServer("s", two_state_spec(), _vector_engine())
+    srv.submit(Task("a", 1000 * GHZ, cores=3))
+    srv._power_cache = None
+    assert python_calls(srv.power_w) == 1            # power_w itself only
+    srv._rate_cache = None
+    assert python_calls(srv.core_rate_cycles_per_s) == 1
+
+
+def test_set_freq_cap_keeps_caches_only_when_the_cap_is_unchanged():
+    srv = ComputeServer("s", two_state_spec(), _vector_engine())
+    srv.submit(Task("a", 1000 * GHZ, cores=3))
+    srv.power_w()
+    srv.core_rate_cycles_per_s()
+    armed = srv._completion_event
+    srv.set_freq_cap(srv.freq_index)                 # the cap it has
+    kept = (srv._power_cache, srv._rate_cache)
+    assert None not in kept
+    assert armed.cancelled and srv._completion_event is not armed  # re-armed
+    srv._power_cache = srv._rate_cache = None
+    fresh = (srv.power_w(), srv.core_rate_cycles_per_s())
+    assert [x.hex() for x in kept] == [x.hex() for x in fresh]
+    srv.set_freq_cap(0)                              # a new cap clears both;
+    assert srv._power_cache is None                  # the re-arm then reads
+    assert srv._rate_cache == 1.0 * GHZ              # the new state's rate
+    with pytest.raises(ValueError):
+        srv.set_freq_cap(2)

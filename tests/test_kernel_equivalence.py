@@ -369,6 +369,29 @@ def test_best_worker_probes_only_workers_with_capacity():
     assert next(w for w in ordered if w.free_cores >= 1) is chosen
 
 
+def test_best_worker_scan_calls_do_not_grow_with_full_workers(python_calls):
+    """A scan reads each server's counters: a full worker costs no call.
+
+    One ``_best_worker(workers, 1)`` scan past 2 and past 5 saturated
+    workers makes the same Python calls (the scan itself and one priority
+    key for the open worker); a ``free_cores`` property read per worker
+    would add one call per saturated worker.
+    """
+    calls = {}
+    for n_full in (2, 5):
+        mw = small_city(kernel="vector", seed=3)
+        sched = next(iter(mw.schedulers.values()))
+        workers = list(sched.edge_workers())[:n_full + 1]
+        assert len(workers) == n_full + 1
+        for w in workers[:-1]:
+            while w.free_cores > 0:
+                assert w.submit(Task(f"fill-{w.name}-{w.free_cores}", 1e9, cores=1))
+        sched.worker_priority(workers[-1])  # the per-version flag cache, warm
+        calls[n_full] = python_calls(sched._best_worker, workers, 1)
+        assert sched._best_worker(workers, 1) is workers[-1]
+    assert calls[2] == calls[5]
+
+
 # --------------------------------------------------------------------------- #
 # caching regressions
 # --------------------------------------------------------------------------- #

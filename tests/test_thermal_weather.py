@@ -64,6 +64,21 @@ def test_query_beyond_horizon_raises():
         w.outdoor_temperature(-1.0)
 
 
+def test_scalar_range_check_raises_the_array_error():
+    w = make_weather(horizon=10 * DAY)
+    for t in (-1.0, 11 * DAY, np.float64(-0.5)):
+        expected = f"weather query outside [0, {w.horizon}]: range [{t}, {t}]"
+        for query in (w.outdoor_temperature, w.solar_irradiance):
+            with pytest.raises(ValueError) as err:
+                query(t)
+            assert str(err.value) == expected
+            with pytest.raises(ValueError) as err:
+                query(np.array(t))
+            assert str(err.value) == expected
+    for t in (0.0, -0.0, 10 * DAY):       # the closed interval's ends
+        assert np.isfinite(w.outdoor_temperature(t))
+
+
 def test_invalid_horizon_rejected():
     with pytest.raises(ValueError):
         make_weather(horizon=0.0)
