@@ -10,10 +10,15 @@ ad-hoc.  All four emitters now write one **envelope**::
       "commit": "<git sha | unknown>",
       "cpu_count": 4,                 # honesty convention: hardware context
       "rows": [ {flat scalars...} ],  # measured quantities, one dict per row
+      "units": {"serial_s": {"unit": "s", "better": "lower"}, ...},
       "context": { ... }              # configuration + non-tabular extras
     }
 
-``rows`` hold *measured* numbers the radar compares with tolerance bands;
+``rows`` hold *measured* numbers; ``units`` declares, for every numeric row
+key, its unit and how two captures compare: ``lower`` or ``higher`` is
+better (the radar applies its tolerance band), or ``exact`` (a simulated
+outcome: any change is a regression, on any hardware).  ``repro diff`` and
+:func:`history_entry` read these declarations, not key suffixes.
 ``context`` holds configuration (seeds, durations, nested summaries) that
 must match exactly or is informational.  Undersized boxes keep writing the
 string sentinel ``"skipped_insufficient_cores"`` in place of a perf number
@@ -43,6 +48,16 @@ RESULTS_DIR = Path(__file__).parent / "results"
 HISTORY_PATH = RESULTS_DIR / "history.jsonl"
 
 _SCALAR_TYPES = (str, int, float, bool, type(None))
+#: how a declared row key compares between two captures
+BETTER = ("lower", "higher", "exact")
+#: the declarations most rows use
+WALL_S = {"unit": "s", "better": "lower"}
+SPEEDUP = {"unit": "ratio", "better": "higher"}
+COUNT = {"unit": "count", "better": "exact"}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def commit_sha() -> str:
@@ -62,8 +77,14 @@ def commit_sha() -> str:
 def envelope(bench: str, rows: List[Dict[str, Any]],
              context: Optional[Dict[str, Any]] = None,
              cpu_count: Optional[int] = None,
-             commit: Optional[str] = None) -> Dict[str, Any]:
-    """Build a schema-conforming bench document (validated before return)."""
+             commit: Optional[str] = None,
+             units: Optional[Dict[str, Dict[str, str]]] = None
+             ) -> Dict[str, Any]:
+    """Build a schema-conforming bench document (validated before return).
+
+    ``units`` maps each numeric row key to ``{"unit": ..., "better": ...}``
+    with ``better`` one of :data:`BETTER`.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "bench": bench,
@@ -71,6 +92,7 @@ def envelope(bench: str, rows: List[Dict[str, Any]],
         "cpu_count": cpu_count if cpu_count is not None
         else (os.cpu_count() or 1),
         "rows": rows,
+        "units": dict(units or {}),
         "context": dict(context or {}),
     }
     validate(doc)
@@ -93,6 +115,17 @@ def validate(doc: Any) -> None:
     cpus = doc.get("cpu_count")
     if not isinstance(cpus, int) or isinstance(cpus, bool) or cpus < 1:
         problems.append(f"cpu_count must be a positive int, got {cpus!r}")
+    units = doc.get("units")
+    if not isinstance(units, dict):
+        problems.append("units must be an object")
+        units = {}
+    for key, decl in units.items():
+        if not (isinstance(decl, dict) and set(decl) == {"unit", "better"}
+                and isinstance(decl["unit"], str) and decl["unit"]
+                and decl["better"] in BETTER):
+            problems.append(f"units.{key} must be {{unit: <non-empty "
+                            f"string>, better: one of {list(BETTER)}}}")
+    undeclared = set()
     rows = doc.get("rows")
     if not isinstance(rows, list):
         problems.append("rows must be a list")
@@ -106,10 +139,15 @@ def validate(doc: Any) -> None:
                     problems.append(
                         f"rows[{i}].{key} must be a scalar, "
                         f"got {type(value).__name__}")
+                elif _is_number(value) and key not in units:
+                    undeclared.add(key)
+    if undeclared:
+        problems.append(f"numeric row keys without a units declaration: "
+                        f"{sorted(undeclared)}")
     if not isinstance(doc.get("context"), dict):
         problems.append("context must be an object")
     extra = set(doc) - {"schema_version", "bench", "commit", "cpu_count",
-                        "rows", "context"}
+                        "rows", "units", "context"}
     if extra:
         problems.append(f"unexpected top-level keys: {sorted(extra)}")
     if problems:
@@ -136,12 +174,15 @@ def write_bench(path: Union[str, Path], doc: Dict[str, Any]) -> None:
 
 def merge_section(path: Union[str, Path], bench: str, section: str,
                   rows: List[Dict[str, Any]],
-                  context: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+                  context: Optional[Dict[str, Any]] = None,
+                  units: Optional[Dict[str, Dict[str, str]]] = None
+                  ) -> Dict[str, Any]:
     """Replace one section's rows in an envelope written by several tests.
 
     ``BENCH_engine.json`` has two independent emitters (exact-kernel and
     surrogate-tier benches) that may run in either order; each tags its rows
     with ``section`` and this merge keeps the other section's rows intact.
+    ``units`` is merged into the envelope's declarations the same way.
     """
     p = Path(path)
     doc: Dict[str, Any]
@@ -157,6 +198,7 @@ def merge_section(path: Union[str, Path], bench: str, section: str,
     kept = [r for r in doc["rows"] if r.get("section") != section]
     tagged = [{**row, "section": section} for row in rows]
     doc["rows"] = kept + tagged
+    doc["units"].update(units or {})
     doc["commit"] = commit_sha()
     doc["cpu_count"] = os.cpu_count() or 1
     if context:
@@ -170,17 +212,17 @@ def merge_section(path: Union[str, Path], bench: str, section: str,
 # --------------------------------------------------------------------------- #
 def history_entry(doc: Dict[str, Any],
                   generated_at: Optional[str] = None) -> Dict[str, Any]:
-    """One trajectory line summarizing a bench envelope (timings only)."""
+    """One trajectory line summarizing a bench envelope: its numeric row
+    values declared ``lower`` or ``higher`` better (the perf numbers)."""
     validate(doc)
+    perf = {key for key, decl in doc["units"].items()
+            if decl["better"] != "exact"}
     timings: Dict[str, Any] = {}
     for i, row in enumerate(doc["rows"]):
         label = str(row.get("section", row.get("fleet_multiplier",
                     row.get("policy", row.get("experiment", i)))))
         for key, value in row.items():
-            low = key.lower()
-            if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                    and (low.endswith(("_s", "_ms", "_mib")) or
-                         "speedup" in low or "per_s" in low or "rtt" in low):
+            if key in perf and _is_number(value):
                 timings[f"{label}.{key}"] = value
     entry = {
         "bench": doc["bench"],

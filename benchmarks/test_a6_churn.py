@@ -20,6 +20,19 @@ from conftest import RESULTS_DIR, record, run_once
 
 from repro.experiments.a6_churn import BUNDLES, MTBF_LEVELS_S, run
 
+#: every BENCH_resilience.json row value is a simulated outcome of a seeded
+#: run, so ``repro diff`` compares them exactly, whatever the hardware
+UNITS = {
+    "served_in_deadline_rate": {"unit": "share", "better": "exact"},
+    **dict.fromkeys(("wasted_gcycles", "clone_waste_gcycles",
+                     "failure_waste_gcycles"),
+                    {"unit": "Gcycles", "better": "exact"}),
+    **dict.fromkeys(("detection_latency_p50_s", "detection_latency_p99_s"),
+                    {"unit": "sim-s", "better": "exact"}),
+    **dict.fromkeys(("cloud_done", "server_failures", "clones", "clone_skips",
+                     "policy_switches"), bench_schema.COUNT),
+}
+
 
 def test_a6_churn(benchmark):
     result = run_once(benchmark, run, seed=101)
@@ -100,4 +113,5 @@ def test_a6_churn(benchmark):
             "resilience", rows,
             context={"experiment": "A6", "seed": 101,
                      "policies": list(BUNDLES),
-                     "pareto_frontier": d["pareto"]}))
+                     "pareto_frontier": d["pareto"]},
+            units=UNITS))

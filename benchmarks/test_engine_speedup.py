@@ -58,6 +58,15 @@ SUR_REPEATS = 2
 SUR_LOAD_DAYS = 1.0         # longer horizon: amortise the exact warm-up
 SUR_TIER = SurrogateConfig(warmup_ticks=6, sample_districts=1)
 MIN_SUR_SPEEDUP_256X = 10.0
+#: how ``repro diff`` compares each numeric row key of BENCH_engine.json
+UNITS = {
+    **dict.fromkeys(("scalar_s", "vector_s", "surrogate_s"),
+                    bench_schema.WALL_S),
+    "speedup": bench_schema.SPEEDUP,
+    "n_districts": bench_schema.COUNT,
+    # a simulated outcome of a seeded run: exact on any hardware
+    "fleet_energy_rel_dev": {"unit": "share", "better": "exact"},
+}
 
 
 def _run(n_districts: int, kernel: str, load_buildings=None,
@@ -164,7 +173,7 @@ def test_engine_speedup():
 def _update_bench(section: str, rows: list, context: dict) -> None:
     """Merge one test's rows into BENCH_engine.json (tests run separately)."""
     bench_schema.merge_section(RESULTS_DIR / "BENCH_engine.json", "engine",
-                               section, rows, context)
+                               section, rows, context, units=UNITS)
 
 
 def _sample_building_names(n_districts: int):

@@ -33,6 +33,16 @@ from repro.runner import ResultCache, SweepRunner
 
 JOBS = 4
 SEED = 101
+#: how ``repro diff`` compares each numeric row key of BENCH_runner.json
+UNITS = {
+    **dict.fromkeys(("serial_s", "parallel_s", "warm_cache_s"),
+                    bench_schema.WALL_S),
+    **dict.fromkeys(("parallel_speedup", "measured_parallel_speedup",
+                     "cache_speedup"), bench_schema.SPEEDUP),
+    **dict.fromkeys(("points", "nodes", "computed_nodes", "prefix_nodes",
+                     "worker_deaths", "chunks_dispatched", "chunk_steals",
+                     "queue_depth_peak"), bench_schema.COUNT),
+}
 
 
 def _timed(runner):
@@ -102,4 +112,4 @@ def test_runner_speedup(tmp_path):
             "runner", [row],
             context={"experiment": SWEEP.experiment_id, "seed": SEED,
                      "backend": "dag", "jobs": JOBS},
-            cpu_count=cpus))
+            cpu_count=cpus, units=UNITS))

@@ -32,6 +32,16 @@ REPO = Path(__file__).resolve().parent.parent
 SIM_DAYS = 0.25
 N_INJECTIONS = 20
 MIN_SSE_EVENTS = 50
+#: how ``repro diff`` compares each numeric row key of BENCH_service.json
+UNITS = {
+    **dict.fromkeys(("startup_to_healthy_s", "sse_stream_s"),
+                    bench_schema.WALL_S),
+    **dict.fromkeys(("inject_rtt_ms_p50", "inject_rtt_ms_max"),
+                    {"unit": "ms", "better": "lower"}),
+    "sse_events_per_s": {"unit": "events/s", "better": "higher"},
+    "steady_state_rss_mib": {"unit": "MiB", "better": "lower"},
+    **dict.fromkeys(("sse_events", "injections"), bench_schema.COUNT),
+}
 
 
 def _free_port() -> int:
@@ -150,6 +160,7 @@ def test_service_throughput():
     bench = bench_schema.envelope(
         "service", [row],
         context={"sim_days": SIM_DAYS,
-                 "sse_event_kinds": dict(sorted(kinds.items()))})
+                 "sse_event_kinds": dict(sorted(kinds.items()))},
+        units=UNITS)
     bench_schema.write_bench(RESULTS_DIR / "BENCH_service.json", bench)
     print(f"\n{json.dumps(bench, indent=2, sort_keys=True)}\n")

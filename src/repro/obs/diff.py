@@ -5,6 +5,13 @@ reports (``repro run --report-json``), bench envelopes (``BENCH_*.json``,
 see ``benchmarks/bench_schema.py``) or plain metric dicts — and classifies
 every leaf-level change instead of demanding byte equality:
 
+* **bench envelope rows** compare as their envelope's ``units`` map
+  declares each key (``better``: ``lower``, ``higher`` or ``exact``; see
+  ``benchmarks/bench_schema.py``) — a simulated-seconds latency declared
+  ``exact`` is a regression at any delta and on any hardware.  Row keys
+  the map does not declare (strings, flags) and every other artifact
+  (run reports, plain metric dicts, envelope context) fall back to the
+  key-name rules below;
 * **timing keys** (``*_s``, ``*_ms``, ``*_mib`` …, or containing ``latency``
   / ``rtt`` / ``wall``) are *lower-better*: the candidate only
   regresses when it exceeds the baseline by more than the relative tolerance
@@ -58,6 +65,9 @@ _TIMING_SUBSTRINGS = ("latency", "rtt", "wall", "staleness")
 _HIGHER_BETTER_SUBSTRINGS = ("speedup", "ratio", "throughput", "per_s")
 # below this absolute delta (seconds/units) a timing change is noise
 _DEFAULT_ABS_FLOOR = 0.25
+# a bench envelope's declared ``better`` -> comparison kind
+_DECLARED_KINDS = {"lower": "lower_better", "higher": "higher_better",
+                   "exact": "exact"}
 
 
 def classify_key(key: str) -> str:
@@ -201,6 +211,22 @@ class _Missing:
 _MISSING = _Missing()
 
 
+def _declared_row_kinds(base: Any, cand: Any) -> Dict[str, str]:
+    """Row key -> kind from the bench envelopes' ``units`` maps.
+
+    The candidate's declaration wins; a baseline captured before its bench
+    declared units still compares by the candidate's map.
+    """
+    kinds: Dict[str, str] = {}
+    for doc in (base, cand):
+        if isinstance(doc, dict) and isinstance(doc.get("rows"), list) \
+                and isinstance(doc.get("units"), dict):
+            for key, decl in doc["units"].items():
+                if isinstance(decl, dict) and decl.get("better") in _DECLARED_KINDS:
+                    kinds[key] = _DECLARED_KINDS[decl["better"]]
+    return kinds
+
+
 def _cpu_mismatch_scopes(base: Any, cand: Any) -> List[str]:
     """Dotted-path prefixes under which ``cpu_count`` disagrees."""
     scopes: List[str] = []
@@ -232,12 +258,17 @@ def diff_artifacts(base: Any, cand: Any, rel_tol: float = 0.2,
     leaves: List[Tuple[str, Any, Any]] = []
     _walk(base, cand, "", leaves)
     mismatch_scopes = _cpu_mismatch_scopes(base, cand)
+    declared = _declared_row_kinds(base, cand)
 
     for path, b, c in leaves:
         key = _leaf_key(path)
         if key in _IGNORED_KEYS:
             continue
-        kind = classify_key(key)
+        if key in declared and path.startswith("rows.") \
+                and path.count(".") == 2:
+            kind = declared[key]
+        else:
+            kind = classify_key(key)
         perf = kind in ("lower_better", "higher_better")
         info = (key in _INFO_KEYS
                 or not _INFO_SEGMENTS.isdisjoint(path.split(".")))

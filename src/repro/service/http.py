@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import queue
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -45,6 +46,10 @@ __all__ = ["TwinServer", "serve"]
 _SSE_HEARTBEAT_S = 5.0          # keep-alive comment cadence on idle streams
 _COMMAND_WAIT_S = 30.0          # POST round-trip budget
 _FINAL_EVENTS = ("run.finished", "run.error")   # an SSE stream ends here
+#: interpreter switch interval while serving (CPython's default is 5 ms): how
+#: long an HTTP or SSE thread waits before the busy engine thread is asked to
+#: hand over the interpreter lock
+SERVE_SWITCH_INTERVAL_S = 0.0005
 
 
 class TwinServer(ThreadingHTTPServer):
@@ -321,10 +326,18 @@ def serve(twin: DigitalTwin, host: str = "127.0.0.1", port: int = 8008,
 
     Returns the bound port (useful with ``port=0``).  ``ready`` is set once
     the socket is listening — test hooks wait on it instead of polling.
+
+    While it serves, the process runs with the switch interval
+    :data:`SERVE_SWITCH_INTERVAL_S`: a command's round trip (parse, enqueue,
+    apply on the engine thread, reply) hands the interpreter lock between
+    threads several times, and each hand-over waits up to one interval.
+    The previous interval is restored on return.
     """
     server = TwinServer((host, port), twin)
     server.verbose = verbose
     bound_port = server.server_address[1]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(SERVE_SWITCH_INTERVAL_S)
     serve_thread = threading.Thread(
         target=server.serve_forever, name="repro-serve", daemon=True,
         kwargs={"poll_interval": 0.1})
@@ -345,3 +358,4 @@ def serve(twin: DigitalTwin, host: str = "127.0.0.1", port: int = 8008,
         twin.stop()
         server.shutdown()
         server.server_close()
+        sys.setswitchinterval(switch_interval)

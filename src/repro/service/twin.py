@@ -6,7 +6,11 @@ This is the engine/IO split the service mode is built on:
   city in bounded slices via ``Engine.run_until`` and is the *only* thread
   that mutates simulation state.  Between slices it drains a command queue
   (request injection, scenario mutation, pause requests) and publishes
-  telemetry onto the :class:`~repro.service.events.EventBus`.
+  telemetry onto the :class:`~repro.service.events.EventBus`.  Due commands
+  apply after each slice and again before the next boundary is chosen, so
+  one that arrives during a publish lands at that boundary, and at the
+  horizon after the final publish, so none accepted before ``run.finished``
+  is dropped.
 * **IO threads** (HTTP handlers, SSE writers) — read-only observers.  They
   consume copy-on-snapshot views (metrics registry, ring-tracer tails,
   GIL-atomic scalars) and enqueue commands; they never touch the heap.
@@ -194,11 +198,16 @@ class DigitalTwin:
         """
         if at is not None and at < self.now:
             raise TwinError(f"command {label!r} at={at} is before now={self.now}")
-        if self._finished.is_set():
-            raise TwinError(f"command {label!r}: run already finished")
+        if at is not None and at > self.scenario.t_end:
+            raise TwinError(f"command {label!r} at={at} is after the run's "
+                            f"end t_end={self.scenario.t_end}")
         cmd = _Command(at=float(at) if at is not None else float("-inf"),
                        order=next(self._cmd_order), label=label, fn=fn)
         with self._inbox_lock:
+            # tested under the lock the engine thread sets it under, so a
+            # command is either queued before the final drain or refused
+            if self._finished.is_set():
+                raise TwinError(f"command {label!r}: run already finished")
             heapq.heappush(self._inbox, cmd)
         self._wake.set()
         if wait is not None:
@@ -296,9 +305,11 @@ class DigitalTwin:
                     self._wake.clear()
                     continue
                 target = self._next_boundary()
-                if self.config.pace > 0:
-                    time.sleep(min(self.config.pace * (target - self.now), 1.0))
-                self.mw.run_until(target)
+                if target > self.now:
+                    if self.config.pace > 0:
+                        time.sleep(min(self.config.pace * (target - self.now),
+                                       1.0))
+                    self.mw.run_until(target)
                 self._apply_due_commands(target)
                 if self._pause_at is not None and self.now >= self._pause_at:
                     self._pause_at = None
@@ -306,15 +317,16 @@ class DigitalTwin:
                     self.bus.publish("run.paused", {"now": self.now})
                 self._maybe_publish_telemetry()
                 if self.now >= self.scenario.t_end:
-                    self._publish_telemetry()
-                    self._finished.set()
+                    self._publish_telemetry(final=True)
+                    self._close_inbox()
                     self.bus.publish("run.finished", {
                         "now": self.now,
                         "wall_s": time.monotonic() - self._started_wall,
                     })
                     break
         except Exception as exc:  # surface engine-thread death to clients
-            self._finished.set()
+            with self._inbox_lock:
+                self._finished.set()
             self.bus.publish("run.error", {"now": self.now, "error": repr(exc)})
             raise
         finally:
@@ -322,16 +334,30 @@ class DigitalTwin:
             self._reject_pending("engine loop exited")
 
     def _next_boundary(self) -> float:
-        """Next simulated time to stop at: slice end, command, pause, end."""
+        """Next simulated time to stop at: slice end, command, pause, end.
+
+        A command already due (``at=None``, or ``at`` equal to now because
+        it arrived while this thread was publishing telemetry) makes the
+        boundary now: the loop applies it before it advances.
+        """
         target = min(self.now + self.config.slice_s, self.scenario.t_end)
         with self._inbox_lock:
             if self._inbox:
-                head = self._inbox[0].at
-                if head > self.now:  # -inf / past-stamped run at this boundary
-                    target = min(target, head)
+                target = max(min(target, self._inbox[0].at), self.now)
         if self._pause_at is not None:
             target = min(target, self._pause_at)
         return target
+
+    def _close_inbox(self) -> None:
+        """Apply what arrived during the final publish, then mark the run
+        finished under the inbox lock: every command ``submit`` accepted is
+        applied at ``t_end``, and later ones are refused."""
+        while True:
+            self._apply_due_commands(self.now)
+            with self._inbox_lock:
+                if not self._inbox:
+                    self._finished.set()
+                    return
 
     def _apply_due_commands(self, boundary: float) -> None:
         """Run every queued command with ``at <= boundary`` in (at, order)."""
@@ -369,16 +395,18 @@ class DigitalTwin:
         if self.now - self._last_telemetry_at >= self.config.telemetry_every_s:
             self._publish_telemetry()
 
-    def _publish_telemetry(self) -> None:
+    def _publish_telemetry(self, final: bool = False) -> None:
         self._last_telemetry_at = self.now
         self.bus.publish("state", self.state_dict())
         self.bus.publish("metrics", {
             "now": self.now, "series": self.obs.registry.snapshot(),
         })
-        self._publish_slo_windows()
+        self._publish_slo_windows(final)
         self._publish_trace_tail()
 
-    def _publish_slo_windows(self) -> None:
+    def _publish_slo_windows(self, final: bool) -> None:
+        """Publish each SLO window once it has closed (``end <= now``); the
+        run's final publish flushes the windows still open."""
         records = self.obs.tracer.tail(len(self.obs.tracer))
         if not records:
             return
@@ -386,7 +414,8 @@ class DigitalTwin:
         for result in report.results:
             for w in result.windows:
                 key = (result.spec.name, w.start_ts)
-                if key in self._published_windows:
+                if key in self._published_windows or \
+                        (w.end_ts > self.now and not final):
                     continue
                 self._published_windows.add(key)
                 payload = {"now": self.now, "slo": result.spec.name,

@@ -1,6 +1,8 @@
 """TwinServer: REST endpoints, SSE stream, control plane, error paths."""
 
 import json
+import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -9,8 +11,14 @@ import urllib.request
 import pytest
 
 from repro.core.requests import reset_ids
-from repro.service import ScenarioConfig, TwinConfig, TwinServer, build_twin
-from repro.service.http import _SSE_HEARTBEAT_S
+from repro.service import (
+    ScenarioConfig,
+    TwinConfig,
+    TwinServer,
+    build_twin,
+    serve,
+)
+from repro.service.http import _SSE_HEARTBEAT_S, SERVE_SWITCH_INTERVAL_S
 
 
 @pytest.fixture()
@@ -242,3 +250,35 @@ def test_shutdown_endpoint_flags_server(served_twin):
     twin, base = served_twin
     out = post(base, "/api/shutdown", {})
     assert out["status"] == "shutting down"
+
+
+def test_serve_shortens_the_switch_interval_and_restores_it():
+    """``serve`` hands the interpreter lock over every 0.5 ms while it runs
+    (a command's round trip crosses threads several times) and puts the
+    process's previous interval back when it returns."""
+    reset_ids()
+    twin = build_twin(ScenarioConfig(duration_days=0.05, tail_days=0.01),
+                      TwinConfig(start_paused=True))
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    before = sys.getswitchinterval()
+    assert SERVE_SWITCH_INTERVAL_S < 1e-3 < before
+    ready = threading.Event()
+    host = threading.Thread(target=serve, args=(twin,),
+                            kwargs={"port": port, "ready": ready},
+                            daemon=True)
+    host.start()
+    try:
+        assert ready.wait(timeout=30)
+        assert sys.getswitchinterval() == pytest.approx(SERVE_SWITCH_INTERVAL_S)
+        base = f"http://127.0.0.1:{port}"
+        out = post(base, "/api/inject", {"flow": "edge", "deadline_s": 30.0})
+        assert out["status"] == "injected"
+        post(base, "/api/shutdown", {})
+        host.join(timeout=30)
+        assert not host.is_alive()
+        assert sys.getswitchinterval() == before
+    finally:
+        twin.stop()
+        sys.setswitchinterval(before)

@@ -22,6 +22,7 @@ from repro.service import (
     ScenarioConfig,
     TwinConfig,
     build_scenario,
+    drain,
 )
 from repro.sim.calendar import DAY, HOUR
 
@@ -210,3 +211,60 @@ def test_service_pause_points_do_not_change_outcome():
     a, b = outcomes
     a.pop("probe"), b.pop("probe")
     assert repr(sorted(a.items())) == repr(sorted(b.items()))
+
+
+def test_commands_queued_during_a_publish_apply_at_that_boundary():
+    """A command that arrives while the engine thread publishes telemetry
+    lands at the boundary it published at, before the engine advances: an
+    injection pinned to that boundary and an ``at=None`` one both apply
+    there, and the run equals the scripted one that injects them there."""
+    reset_ids()
+    obs = _obs()
+    scenario = build_scenario(SCEN, obs=obs)
+    twin = DigitalTwin(scenario, obs,
+                       TwinConfig(slice_s=300.0, telemetry_every_s=1800.0))
+    source = next(iter(scenario.mw.buildings))
+    queued = {}
+    publish = twin._publish_telemetry
+
+    def publish_then_queue(*args, **kwargs):
+        publish(*args, **kwargs)
+        if queued or twin.now < scenario.t0 + 2 * HOUR:
+            return
+        boundary = twin.now
+        pinned = EdgeRequest(cycles=3e8, time=boundary, deadline_s=60.0,
+                             source=source)
+        queued.update(boundary=boundary, pinned=pinned)
+        twin.inject_request(pinned, "edge", at=boundary)
+        twin.inject_request(
+            lambda now: EdgeRequest(cycles=2e8, time=now, deadline_s=60.0,
+                                    source=source), "edge")
+
+    twin._publish_telemetry = publish_then_queue
+    sub = twin.bus.subscribe()
+    twin.start()
+    assert twin.join(timeout=120)
+    twin.stop()
+    got = _outcome(twin.mw, queued["pinned"])
+    boundary = queued["boundary"]
+    applied = [data for kind, data, _ in drain(sub, timeout=0,
+                                                max_events=100_000)
+               if kind == "command.applied"]
+    assert [(d["label"], d["at"], d["now"]) for d in applied] == [
+        ("inject:edge", None, boundary), ("inject:edge", boundary, boundary)]
+
+    # scripted reference: the at=None command sorts first, but the pinned
+    # request was built first (inside the publish)
+    reset_ids()
+    ref = build_scenario(SCEN, obs=_obs())
+    ref.mw.run_until(boundary)
+    pinned = EdgeRequest(cycles=3e8, time=boundary, deadline_s=60.0,
+                         source=source)
+    asap = EdgeRequest(cycles=2e8, time=boundary, deadline_s=60.0,
+                       source=source)
+    ref.mw.inject([asap])
+    ref.mw.inject([pinned])
+    ref.mw.run_until(ref.t_end)
+    expected = _outcome(ref.mw, pinned)
+
+    assert repr(sorted(got.items())) == repr(sorted(expected.items()))

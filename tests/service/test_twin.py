@@ -3,8 +3,15 @@
 import pytest
 
 from repro.core.requests import EdgeRequest, reset_ids
+from repro.obs.slo import SLOEngine
 from repro.sim.calendar import HOUR
-from repro.service import ScenarioConfig, TwinConfig, TwinError, build_twin
+from repro.service import (
+    ScenarioConfig,
+    TwinConfig,
+    TwinError,
+    build_twin,
+    drain,
+)
 
 
 def tiny_twin(**twin_kwargs) -> object:
@@ -90,6 +97,36 @@ def test_command_after_finish_rejected():
     with pytest.raises(TwinError):
         twin.submit("late", lambda mw: None)
     twin.stop()
+
+
+def test_command_queued_in_the_final_publish_applies_at_t_end():
+    """``run.finished`` closes the inbox: a command accepted while the
+    engine thread publishes at the horizon is applied there, and one
+    submitted afterwards, or pinned past the horizon, is refused."""
+    twin = tiny_twin()
+    t_end = twin.scenario.t_end
+    late = []
+    publish = twin._publish_telemetry
+
+    def publish_then_queue(*args, **kwargs):
+        publish(*args, **kwargs)
+        if twin.now >= t_end and not late:
+            late.append(twin.submit("late", lambda mw: mw.engine.now))
+
+    twin._publish_telemetry = publish_then_queue
+    twin.start()
+    assert twin.join(timeout=60)
+    (cmd,) = late
+    assert cmd.done.wait(timeout=10)
+    assert cmd.error is None and cmd.result == t_end
+    with pytest.raises(TwinError, match="run already finished"):
+        twin.submit("after", lambda mw: None)
+    twin.stop()
+
+    fresh = tiny_twin(start_paused=True)
+    with pytest.raises(TwinError, match="after the run's end"):
+        fresh.submit("past-end", lambda mw: None,
+                     at=fresh.scenario.t_end + 1.0)
 
 
 def test_command_error_propagates_to_caller():
@@ -195,3 +232,36 @@ def test_state_dict_omits_surrogate_for_vector_kernel(monkeypatch):
     assert twin.join(timeout=60)
     assert "surrogate" not in twin.state_dict()
     twin.stop()
+
+
+def test_slo_feed_publishes_closed_windows_only():
+    """Each ``slo.burn_rate`` event carries a closed window, equal to the
+    same window of a post-run evaluation; only the run's final publish
+    sends windows that are still open, and ``slo.breach`` follows every
+    breached window exactly once."""
+    twin = build_twin(ScenarioConfig(duration_days=0.3, tail_days=0.05),
+                      TwinConfig(slice_s=300.0, telemetry_every_s=900.0))
+    sub = twin.bus.subscribe()
+    twin.start()
+    assert twin.join(timeout=120)
+    twin.stop()
+    events = drain(sub, timeout=0, max_events=100_000)
+    assert events[-1][0] == "run.finished" and sub.dropped == 0
+    final_seq = max(seq for kind, _, seq in events if kind == "state")
+    post_run = SLOEngine().evaluate(twin.obs.tracer.tail(len(twin.obs.tracer)))
+    windows = {(r.spec.name, w.start_ts): w.to_dict()
+               for r in post_run.results for w in r.windows}
+
+    published, breached = [], []
+    for kind, data, seq in events:
+        if kind not in ("slo.burn_rate", "slo.breach"):
+            continue
+        key = (data["slo"], data["start"])
+        assert {k: data[k] for k in windows[key]} == windows[key]
+        assert data["end"] <= data["now"] or seq > final_seq
+        (published if kind == "slo.burn_rate" else breached).append(key)
+    assert sorted(published) == sorted(windows)
+    assert sorted(breached) == sorted(k for k, w in windows.items()
+                                      if w["breached"])
+    # the last windows close after the horizon: the final publish sent them
+    assert max(w["end"] for w in windows.values()) > twin.scenario.t_end

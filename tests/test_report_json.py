@@ -154,6 +154,35 @@ def test_cpu_count_mismatch_downgrades_timings_to_skipped():
     assert [e.path for e in report.regressions] == ["points"]
 
 
+def _committed_resilience():
+    path = (Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+            / "BENCH_resilience.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("cand_cpus", [None, 64])
+def test_bench_rows_compare_by_declared_units(cand_cpus):
+    """A simulated-seconds latency declared ``exact`` in the envelope's
+    ``units`` map is a regression at +15%, where its ``_s`` suffix alone
+    would put it in the wall-clock tolerance band (and skip it when the
+    hardware differs)."""
+    base = _committed_resilience()
+    cand = json.loads(json.dumps(base))
+    if cand_cpus is not None:
+        cand["cpu_count"] = cand_cpus
+    (i, row), = [(i, r) for i, r in enumerate(cand["rows"])
+                 if (r["mtbf"], r["policy"]) == ("mtbf=2h", "none")]
+    assert row["detection_latency_p99_s"] == pytest.approx(2.4835, abs=1e-4)
+    row["detection_latency_p99_s"] = 2.856
+    report = diff_artifacts(base, cand)
+    path = f"rows.{i}.detection_latency_p99_s"
+    assert [(e.path, e.kind) for e in report.regressions] == [(path, "exact")]
+    # artifacts without a units map keep the key-name rules
+    assert classify_key("detection_latency_p99_s") == "lower_better"
+    assert diff_artifacts({"detection_latency_p99_s": 2.4835},
+                          {"detection_latency_p99_s": 2.856}).ok
+
+
 def test_missing_keys():
     report = diff_artifacts({"points": 3, "wall_s": 1.0, "extra_s": 2.0},
                             {"points": 3, "wall_s": 1.0})
