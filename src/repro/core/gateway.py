@@ -127,7 +127,7 @@ class EdgeGateway:
         synchronously (no second radio trip), but a down master still rejects
         it — outages apply to salvage exactly as to fresh traffic.
         """
-        if req.__dict__.get("_clone_cancelled"):
+        if req._clone_cancelled:
             return
         if not self.master_up:
             self._reject_or_retry(req, via_resubmit=True)
@@ -138,14 +138,14 @@ class EdgeGateway:
         """Master-down handling: back off and retry when configured, else reject."""
         pol = self.retry_policy
         if pol is not None and pol.retry:
-            attempt = req.__dict__.get("_retry_attempts", 0)
+            attempt = req._retry_attempts
             delay = pol.retry_base_backoff_s * (2.0 ** attempt)
             if self.retry_rng is not None and pol.retry_jitter_s > 0:
                 delay += float(self.retry_rng.random()) * pol.retry_jitter_s
             deadline_at = req.time + req.deadline_s
             if (attempt < pol.retry_max_attempts
                     and self.engine.now + delay <= deadline_at):
-                req.__dict__["_retry_attempts"] = attempt + 1
+                req._retry_attempts = attempt + 1
                 self.retries += 1
                 if self.obs.active:
                     self.obs.emit_span("request", "edge.retry", self.engine.now,
@@ -223,8 +223,5 @@ class DCCGateway:
                              cluster=self.scheduler.cluster.name).inc()
         delay = self.wan.delay(req.input_bytes)
         req.network_delay_s += delay
-        req.__dict__["_return_delay_s"] = (
-            float(req.__dict__.get("_return_delay_s", 0.0))
-            + self.wan.expected_delay(req.output_bytes)
-        )
+        req._return_delay_s += self.wan.expected_delay(req.output_bytes)
         self.engine.schedule(delay, lambda: self.scheduler.submit_cloud(req))

@@ -187,13 +187,13 @@ class Offloader:
             self.obs.counter("offloads", direction="vertical", flow=flow).inc()
 
         def arrive() -> None:
-            if req.__dict__.get("_clone_cancelled"):
+            if req._clone_cancelled:
                 return  # sibling won while this copy crossed the WAN
 
             def done(task: Task, now: float) -> None:
                 result = req
                 if is_edge:
-                    group = req.__dict__.get("_clone_group")
+                    group = req._clone_group
                     if group is not None:
                         result = group.on_complete(req, now)
                         if result is None:
@@ -229,7 +229,7 @@ class Offloader:
             req.started_at = self.engine.now
             req.executed_on = f"{self.datacenter.name}"
             if is_edge:
-                group = req.__dict__.get("_clone_group")
+                group = req._clone_group
                 if group is not None:
                     # cancel-on-start: a datacenter placement counts as the
                     # sibling-cancelling start just like a Q.rad placement
@@ -269,7 +269,7 @@ class Offloader:
             return False
         peer_sched, link = self._peers[peer_name]
         self.horizontal_count += 1
-        req.__dict__["_offloaded_once"] = True
+        req._offloaded_once = True
         req.status = RequestStatus.OFFLOADED
         if self.obs.active:
             self.obs.emit_span("request", "edge.offloaded", self.engine.now,
@@ -279,9 +279,7 @@ class Offloader:
             self.obs.counter("offloads", direction="horizontal", flow="edge").inc()
         hop = link.delay(req.input_bytes)
         req.network_delay_s += hop
-        req.__dict__["_return_delay_s"] = (
-            float(req.__dict__.get("_return_delay_s", 0.0)) + link.expected_delay(req.output_bytes)
-        )
+        req._return_delay_s += link.expected_delay(req.output_bytes)
         self.ledger.record(helper=peer_name, beneficiary=me, cycles=req.cycles)
         # completion lands in the peer's lists; experiments aggregate across
         # schedulers via the middleware, so nothing is lost

@@ -15,9 +15,10 @@ of requests without auxiliary bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -33,9 +34,20 @@ __all__ = [
 
 _ids = itertools.count()
 
+#: per-request recovery state beside the dataclass fields, in the order
+#: ``_ComputeRequest.__post_init__`` assigns it (DESIGN.md §2.16)
+SIDE_STATE = ("_clone_group", "_clone_cancelled", "_retry_attempts",
+              "_return_delay_s", "_offloaded_once")
+
 
 def _next_id(prefix: str) -> str:
     return f"{prefix}-{next(_ids)}"
+
+
+@functools.lru_cache(maxsize=None)
+def _copy_order(cls) -> tuple:
+    """Attribute names a shallow copy of ``cls`` assigns, in build order."""
+    return tuple(f.name for f in fields(cls)) + SIDE_STATE
 
 
 def reset_ids(start: int = 0) -> None:
@@ -127,6 +139,29 @@ class _ComputeRequest:
         if not (0 <= self.input_bytes < math.inf
                 and 0 <= self.output_bytes < math.inf):
             raise ValueError("message sizes must be finite and >= 0")
+        # recovery side state (not dataclass fields: eq, repr and the runner's
+        # cache keys never see it), assigned here in SIDE_STATE order so every
+        # request of a class shares one attribute layout
+        self._clone_group = None        # CloneGroup of a speculative pair
+        self._clone_cancelled = False   # the losing copy: drop at next touch
+        self._retry_attempts = 0        # master-down retries so far
+        self._return_delay_s = 0.0      # result's trip back to its source
+        self._offloaded_once = False    # no second horizontal hop
+
+    def shallow_copy(self, request_id: str):
+        """A fresh instance sharing this one's attribute values, under
+        ``request_id`` — what ``copy.copy`` makes of these dataclasses.
+
+        Assigned attribute by attribute in construction order (fields, then
+        side state), so the copy keeps the class's shared layout instead of
+        growing an instance dict.
+        """
+        cls = type(self)
+        dup = object.__new__(cls)
+        for name in _copy_order(cls):
+            setattr(dup, name, getattr(self, name))
+        dup.request_id = request_id
+        return dup
 
     # ------------------------------------------------------------------ #
     @property

@@ -57,7 +57,7 @@ from repro.core.resilience.churn import ChurnModel
 from repro.core.resilience.config import ResilienceConfig
 from repro.core.resilience.detector import HeartbeatFailureDetector
 from repro.core.resilience.policy import PolicyController
-from repro.obs import adopt_chain, link_spans
+from repro.obs import adopt_chain, copy_span_context, link_spans
 
 __all__ = ["CloneGroup", "RecoveryRuntime", "ResilienceLog"]
 
@@ -101,7 +101,7 @@ class ResilienceLog:
 class CloneGroup:
     """First-completion-wins pair of an edge request and its speculative copy.
 
-    Both members carry this group in ``req.__dict__["_clone_group"]``;
+    Both members carry this group in ``req._clone_group``;
     schedulers/offloaders consult it at completion and terminal rejection:
 
     * :meth:`on_complete` — returns the **primary** (with the winner's
@@ -162,10 +162,7 @@ class CloneGroup:
             p.started_at = c.started_at
             p.executed_on = c.executed_on
             p.network_delay_s = c.network_delay_s
-            if "_return_delay_s" in c.__dict__:
-                p.__dict__["_return_delay_s"] = c.__dict__["_return_delay_s"]
-            else:
-                p.__dict__.pop("_return_delay_s", None)
+            p._return_delay_s = c._return_delay_s
             if self.runtime.mw.obs.tracer.enabled:
                 # the completion record must parent to the clone's execution
                 # — the true cause — not the primary's abandoned attempt
@@ -461,16 +458,12 @@ class RecoveryRuntime:
         """
         if peer is None:
             peer = self._clone_peer(district)
-        # a shallow copy, as copy.copy makes of these dataclasses (a fresh
-        # instance sharing the same attribute values), minus the reduce
-        # protocol
-        clone = object.__new__(type(req))
-        clone.__dict__.update(req.__dict__)
-        clone.request_id = f"{req.request_id}#clone"
+        clone = req.shallow_copy(f"{req.request_id}#clone")
+        copy_span_context(clone, req)
         group = CloneGroup(req, clone, self,
                            cancel_on=self.cfg.recovery.clone_cancel_on)
-        req.__dict__["_clone_group"] = group
-        clone.__dict__["_clone_group"] = group
+        req._clone_group = group
+        clone._clone_group = group
         self.log.clones_spawned += 1
         if self.mw.obs.active:
             self.mw.obs.emit_span("resilience", "edge.cloned", self.engine.now,
@@ -489,7 +482,7 @@ class RecoveryRuntime:
 
     def _cancel_loser(self, loser: EdgeRequest) -> None:
         """Cancel the losing clone; preempt it if it is running on a Q.rad."""
-        loser.__dict__["_clone_cancelled"] = True
+        loser._clone_cancelled = True
         if loser.status is not RequestStatus.RUNNING or not loser.executed_on:
             return  # queued or in flight: dropped lazily at the next touch
         d = self.mw.server_district.get(loser.executed_on)

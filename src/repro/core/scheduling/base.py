@@ -178,7 +178,7 @@ class BaseScheduler(ABC):
         req.started_at = self.engine.now
         req.executed_on = worker_name
         if kind == "edge":
-            group = req.__dict__.get("_clone_group")
+            group = req._clone_group
             if group is not None:
                 # cancel-on-start discipline: the first member to reach a
                 # server cancels its sibling before it can burn cycles
@@ -243,13 +243,13 @@ class BaseScheduler(ABC):
         req = meta["request"]
         kind = meta["kind"]
         if kind == "edge":
-            group = req.__dict__.get("_clone_group")
+            group = req._clone_group
             if group is not None:
                 req = group.on_complete(req, now)
                 if req is None:  # the losing clone: result discarded
                     self.drain()
                     return
-        ret = float(req.__dict__.get("_return_delay_s", 0.0))
+        ret = float(req._return_delay_s)
         if ret > 0:
             self.engine.schedule(ret, lambda: req.mark_completed(self.engine.now))
         else:
@@ -309,7 +309,7 @@ class BaseScheduler(ABC):
         ``expired_edge`` once its sibling is also dead; while the sibling is
         still in flight the failure is silent (first completion may yet win).
         """
-        group = req.__dict__.get("_clone_group")
+        group = req._clone_group
         if group is not None:
             req = group.on_failure(req)
             if req is None:
@@ -327,7 +327,7 @@ class BaseScheduler(ABC):
 
     def submit_edge(self, req: EdgeRequest) -> None:
         """Admit an edge request: place now or apply the saturation policy."""
-        if req.__dict__.get("_clone_cancelled"):
+        if req._clone_cancelled:
             return  # its sibling already won while this copy was in flight
         self.stats.edge_submitted += 1
         if self.obs.active:
@@ -433,7 +433,7 @@ class BaseScheduler(ABC):
     def _offload_horizontal(self, req: EdgeRequest) -> bool:
         if self.offloader is None:
             return False
-        if req.__dict__.get("_offloaded_once"):
+        if req._offloaded_once:
             return False  # no ping-pong between clusters
         if not self.offloader.horizontal(req, self):
             return False
@@ -464,12 +464,12 @@ class BaseScheduler(ABC):
             return
         now = self.engine.now
         for stale in self.edge_queue.pop_expired(now):
-            if stale.__dict__.get("_clone_cancelled"):
+            if stale._clone_cancelled:
                 continue  # sibling already completed; nothing to record
             self.reject_edge(stale, reason="expired")
         while self.edge_queue:
             head = self.edge_queue.peek()
-            if head.__dict__.get("_clone_cancelled"):
+            if head._clone_cancelled:
                 self.edge_queue.pop()
                 continue
             if not self._try_place(head, "edge", self.edge_workers()):

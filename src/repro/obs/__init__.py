@@ -33,7 +33,14 @@ from typing import Any, Iterator, Optional
 
 from repro.obs.profiler import Profiler
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.span import SpanIndex, adopt_chain, link_spans, next_span, span_context
+from repro.obs.span import (
+    SpanIndex,
+    adopt_chain,
+    copy_span_context,
+    link_spans,
+    next_span,
+    span_context,
+)
 from repro.obs.trace import (
     NULL_TRACER,
     JsonlTracer,
@@ -63,6 +70,7 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "adopt_chain",
+    "copy_span_context",
     "get_obs",
     "install",
     "link_spans",

@@ -32,6 +32,7 @@ from repro.obs.trace import TraceRecord, read_jsonl
 
 __all__ = [
     "span_context",
+    "copy_span_context",
     "link_spans",
     "adopt_chain",
     "Segment",
@@ -82,6 +83,18 @@ def link_spans(child_carrier, parent_carrier) -> None:
     child_ctx = span_context(child_carrier)
     child_ctx["trace"] = parent_ctx["trace"]
     child_ctx["last"] = parent_ctx["last"]
+
+
+def copy_span_context(dst_carrier, src_carrier) -> None:
+    """Give ``dst`` the very chain state ``src`` carries, if it has any.
+
+    This is what a shallow copy of the carrier shares.  The lookup is an
+    attribute read, not ``src_carrier.__dict__``, so a carrier that never
+    emitted a span is left without a built instance dict.
+    """
+    ctx = getattr(src_carrier, _CTX, None)
+    if ctx is not None:
+        setattr(dst_carrier, _CTX, ctx)
 
 
 def adopt_chain(dst_carrier, src_carrier) -> None:

@@ -17,6 +17,7 @@ interleaved by wall clock.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 import traceback
@@ -115,8 +116,15 @@ def dag_worker_main(worker_id: int, task_q, result_q, heartbeats,
     slow node.  A cell that raises is reported as an ``error`` message — the
     run is deterministic, so re-running it elsewhere would fail identically
     and the parent aborts instead of retrying.
+
+    The worker holds one cell's memory at a time: the heap it starts with
+    (inherited and imported) is frozen out of collection, and each node's
+    garbage is collected once its ``done`` message is sent.  A finished
+    cell's city is a cyclic graph that CPython's own schedule would
+    usually leave in place while the next cell builds (DESIGN.md §2.17).
     """
     init_worker()
+    gc.freeze()
     stop_beat = threading.Event()
 
     def _beat() -> None:
@@ -153,5 +161,7 @@ def dag_worker_main(worker_id: int, task_q, result_q, heartbeats,
                 result_q.put(("done", worker_id, node_id, value,
                               registry, profiler, records,
                               time.perf_counter() - wall0))
+                del value, registry, profiler, records
+                gc.collect()
     finally:
         stop_beat.set()

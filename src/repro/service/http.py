@@ -15,7 +15,8 @@ Endpoints
                            recovery policy-engine counters when armed)
 ``GET  /api/fleet``        city rollup (energy, flows, district health)
 ``GET  /api/servers``      per-server rows
-``GET  /api/slo``          SLO compliance tables (stable JSON)
+``GET  /api/slo``          SLO compliance tables over the flight recorder,
+                           with the records they cover (``coverage``)
 ``GET  /api/spans``        span-tree / critical-path summary
 ``GET  /api/metrics``      metrics snapshot
 ``GET  /api/trace/tail``   recent trace records (``?n=50``)

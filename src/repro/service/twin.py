@@ -10,7 +10,8 @@ This is the engine/IO split the service mode is built on:
   apply after each slice and again before the next boundary is chosen, so
   one that arrives during a publish lands at that boundary, and at the
   horizon after the final publish, so none accepted before ``run.finished``
-  is dropped.
+  is dropped.  A due injection also applies inside a publish, between
+  chunks of its SLO evaluation, at the same simulated time.
 * **IO threads** (HTTP handlers, SSE writers) — read-only observers.  They
   consume copy-on-snapshot views (metrics registry, ring-tracer tails,
   GIL-atomic scalars) and enqueue commands; they never touch the heap.
@@ -31,7 +32,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.obs import Observability
 from repro.obs.registry import MetricsRegistry
@@ -42,6 +43,10 @@ from repro.service.events import EventBus
 from repro.service.scenario import LiveScenario, ScenarioConfig, build_scenario
 
 __all__ = ["DigitalTwin", "TwinConfig", "TwinError", "build_twin"]
+
+#: flight-recorder records a publish's SLO evaluation reads between two
+#: looks at the inbox for due injections (a few milliseconds of evaluation)
+PUBLISH_CHUNK_RECORDS = 1024
 
 
 class TwinError(RuntimeError):
@@ -80,6 +85,9 @@ class _Command:
     done: threading.Event = field(compare=False, default_factory=threading.Event)
     result: Any = field(compare=False, default=None)
     error: Optional[BaseException] = field(compare=False, default=None)
+    #: may apply inside a telemetry publish: it does not advance simulated
+    #: time, and a client waits on it (request injection)
+    in_publish: bool = field(compare=False, default=False)
 
 
 class DigitalTwin:
@@ -106,6 +114,7 @@ class DigitalTwin:
 
         self._inbox: List[_Command] = []   # heap, guarded by _inbox_lock
         self._inbox_lock = threading.Lock()
+        self._closed = False   # engine loop exited; set under _inbox_lock
         self._cmd_order = itertools.count()
         self._pause_at: Optional[float] = None
 
@@ -196,18 +205,29 @@ class DigitalTwin:
         blocks up to that many real seconds for the command to apply and
         re-raises any error it hit.
         """
+        return self._submit(label, fn, at, wait, in_publish=False)
+
+    def _submit(self, label: str, fn: Callable[[Any], Any],
+                at: Optional[float], wait: Optional[float],
+                in_publish: bool) -> _Command:
+        """:meth:`submit`; ``in_publish`` lets the command apply inside a
+        telemetry publish, so only a ``fn`` that does not advance simulated
+        time may ask for it."""
         if at is not None and at < self.now:
             raise TwinError(f"command {label!r} at={at} is before now={self.now}")
         if at is not None and at > self.scenario.t_end:
             raise TwinError(f"command {label!r} at={at} is after the run's "
                             f"end t_end={self.scenario.t_end}")
         cmd = _Command(at=float(at) if at is not None else float("-inf"),
-                       order=next(self._cmd_order), label=label, fn=fn)
+                       order=next(self._cmd_order), label=label, fn=fn,
+                       in_publish=in_publish)
         with self._inbox_lock:
-            # tested under the lock the engine thread sets it under, so a
+            # tested under the lock the engine thread sets them under, so a
             # command is either queued before the final drain or refused
             if self._finished.is_set():
                 raise TwinError(f"command {label!r}: run already finished")
+            if self._closed:
+                raise TwinError(f"command {label!r}: engine loop exited")
             heapq.heappush(self._inbox, cmd)
         self._wake.set()
         if wait is not None:
@@ -218,7 +238,8 @@ class DigitalTwin:
         return cmd
 
     def step(self, dt: float, wait: float = 30.0) -> float:
-        """While paused, advance exactly ``dt`` simulated seconds.
+        """While paused, advance exactly ``dt`` simulated seconds, or to the
+        run's end if that comes first.
 
         Returns the new sim-now.  The advance happens on the engine thread
         (single-writer rule), the caller blocks until it lands.
@@ -227,7 +248,7 @@ class DigitalTwin:
             raise TwinError("step() requires a paused twin")
         if dt <= 0:
             raise TwinError(f"step dt must be > 0, got {dt}")
-        target = self.now + dt
+        target = min(self.now + dt, self.scenario.t_end)
         cmd = self.submit(f"step:{dt}", lambda mw: mw.run_until(target),
                           wait=wait)
         return cmd.result if cmd.result is not None else self.now
@@ -251,7 +272,8 @@ class DigitalTwin:
             self.injected[flow] = self.injected.get(flow, 0) + 1
             return r.request_id
 
-        return self.submit(f"inject:{flow}", _apply, at=at, wait=wait)
+        return self._submit(f"inject:{flow}", _apply, at, wait,
+                            in_publish=True)
 
     def set_weather_override(self, delta_c: float, at: Optional[float] = None,
                              wait: Optional[float] = None) -> _Command:
@@ -359,11 +381,19 @@ class DigitalTwin:
                     self._finished.set()
                     return
 
-    def _apply_due_commands(self, boundary: float) -> None:
-        """Run every queued command with ``at <= boundary`` in (at, order)."""
+    def _apply_due_commands(self, boundary: float,
+                            in_publish: bool = False) -> None:
+        """Run every queued command with ``at <= boundary`` in (at, order).
+
+        With ``in_publish`` (the engine thread is inside a telemetry
+        publish) it stops at the first due command that may not apply
+        there, so the order holds.
+        """
         while True:
             with self._inbox_lock:
                 if not self._inbox or self._inbox[0].at > boundary:
+                    return
+                if in_publish and not self._inbox[0].in_publish:
                     return
                 cmd = heapq.heappop(self._inbox)
             try:
@@ -383,6 +413,7 @@ class DigitalTwin:
 
     def _reject_pending(self, reason: str) -> None:
         with self._inbox_lock:
+            self._closed = True
             pending, self._inbox = self._inbox, []
         for cmd in pending:
             cmd.error = TwinError(f"command {cmd.label!r} dropped: {reason}")
@@ -410,7 +441,8 @@ class DigitalTwin:
         records = self.obs.tracer.tail(len(self.obs.tracer))
         if not records:
             return
-        report = self.slo_engine.evaluate(records, tracer=None)
+        report = self.slo_engine.evaluate(self._admitting_injections(records),
+                                          tracer=None)
         for result in report.results:
             for w in result.windows:
                 key = (result.spec.name, w.start_ts)
@@ -424,6 +456,29 @@ class DigitalTwin:
                 self.bus.publish("slo.burn_rate", payload)
                 if w.breached:
                     self.bus.publish("slo.breach", payload)
+
+    def _admitting_injections(self, records: List[Any]) -> Iterator[Any]:
+        """``records``, applying due injections every
+        :data:`PUBLISH_CHUNK_RECORDS` of them.
+
+        The SLO evaluation over the whole flight recorder is most of a
+        publish (up to ~100 ms late in a served F3 day), and a command
+        waiting it out makes its client wait too.  An injection applied here
+        lands at the publish's own simulated time, where the loop would
+        apply it right after the publish, so the run is the same; only the
+        feed differs: its ``command.applied`` event comes before this
+        publish's SLO and ``trace`` frames, and its trace records ride in
+        this publish's ``trace`` frame instead of the next one.  ``records``
+        is a copy, so the SLO tables do not see them until the next publish,
+        as before.
+        """
+        def chunks() -> Iterator[List[Any]]:
+            for start in range(0, len(records), PUBLISH_CHUNK_RECORDS):
+                if start:
+                    self._apply_due_commands(self.now, in_publish=True)
+                yield records[start:start + PUBLISH_CHUNK_RECORDS]
+
+        return itertools.chain.from_iterable(chunks())
 
     def _publish_trace_tail(self) -> None:
         tracer = self.obs.tracer
@@ -524,10 +579,26 @@ class DigitalTwin:
         return rows
 
     def slo_dict(self) -> Dict[str, Any]:
-        """Full SLO compliance tables over the flight recorder."""
-        records = self.obs.tracer.tail(len(self.obs.tracer))
+        """SLO compliance tables over the records the flight recorder holds.
+
+        The ring keeps only the last ``ring_capacity`` records, so on a long
+        run the tables cover its tail, not the whole run, and the first
+        window may be a fragment.  ``coverage`` says what was evaluated: the
+        records held, the records emitted but not held (``evicted``; while
+        the run is live this also counts any emitted after the snapshot),
+        and the first and last record times.
+        """
+        tracer = self.obs.tracer
+        records = tracer.tail(len(tracer))
         report = self.slo_engine.evaluate(records, tracer=None)
-        return report.to_dict()
+        out = report.to_dict()
+        out["coverage"] = {
+            "records": len(records),
+            "evicted": tracer.total_emitted - len(records),
+            "first_ts": records[0].ts if records else None,
+            "last_ts": records[-1].ts if records else None,
+        }
+        return out
 
     def spans_dict(self, prefix: str = "edge.", slowest_n: int = 5) -> Dict[str, Any]:
         """Span-tree summary over the flight recorder."""

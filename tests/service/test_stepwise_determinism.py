@@ -268,3 +268,55 @@ def test_commands_queued_during_a_publish_apply_at_that_boundary():
     expected = _outcome(ref.mw, pinned)
 
     assert repr(sorted(got.items())) == repr(sorted(expected.items()))
+
+
+def test_injection_queued_during_a_publish_applies_inside_it():
+    """An injection that arrives while a publish evaluates the SLOs applies
+    between chunks of that evaluation, before the publish's ``trace`` frame;
+    a command that did not ask for that waits for the boundary after the
+    publish.  Both apply at the publish's simulated time, and the run equals
+    the scripted one that injects there."""
+    from repro.service.twin import PUBLISH_CHUNK_RECORDS
+
+    reset_ids()
+    obs = _obs()
+    scenario = build_scenario(SCEN, obs=obs)
+    twin = DigitalTwin(scenario, obs,
+                       TwinConfig(slice_s=300.0, telemetry_every_s=1800.0))
+    source = next(iter(scenario.mw.buildings))
+    queued = {}
+    evaluate = twin.slo_engine.evaluate
+
+    def evaluate_after_queueing(records, tracer=None):
+        if not queued and len(obs.tracer) > PUBLISH_CHUNK_RECORDS:
+            queued["boundary"] = twin.now
+            twin.inject_request(
+                lambda now: EdgeRequest(cycles=2e8, time=now, deadline_s=60.0,
+                                        source=source), "edge")
+            queued["probe"] = twin.submit("probe", lambda mw: mw.engine.now)
+        return evaluate(records, tracer)
+
+    twin.slo_engine.evaluate = evaluate_after_queueing
+    sub = twin.bus.subscribe()
+    twin.start()
+    assert twin.join(timeout=120)
+    twin.stop()
+    boundary = queued["boundary"]
+    assert queued["probe"].result == boundary
+    at_boundary = [(kind, data.get("label"))
+                   for kind, data, _ in drain(sub, timeout=0,
+                                              max_events=100_000)
+                   if kind in ("command.applied", "trace")
+                   and data["now"] == boundary]
+    assert at_boundary == [("command.applied", "inject:edge"),
+                           ("trace", None), ("command.applied", "probe")]
+
+    reset_ids()
+    ref = build_scenario(SCEN, obs=_obs())
+    ref.mw.run_until(boundary)
+    ref.mw.inject([EdgeRequest(cycles=2e8, time=boundary, deadline_s=60.0,
+                               source=source)])
+    ref.mw.run_until(ref.t_end)
+    got = _outcome(twin.mw, None)
+    expected = _outcome(ref.mw, None)
+    assert repr(sorted(got.items())) == repr(sorted(expected.items()))

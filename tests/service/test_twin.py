@@ -65,6 +65,27 @@ def test_pause_resume_step():
     twin.stop()
 
 
+def test_step_past_the_horizon_stops_at_t_end():
+    """A step longer than the rest of the run ends exactly at ``t_end``,
+    and the resumed twin finishes there without simulating past it."""
+    twin = tiny_twin(start_paused=True)
+    sub = twin.bus.subscribe()
+    twin.start()
+    t_end = twin.scenario.t_end
+    assert twin.step(t_end - twin.now + 7200.0) == t_end
+    assert twin.now == t_end
+    twin.resume()
+    assert twin.join(timeout=60)
+    finished = []
+    while not sub.events.empty():
+        ev = sub.events.get_nowait()
+        if ev.kind == "run.finished":
+            finished.append(ev.data["now"])
+    assert finished == [t_end]
+    assert twin.now == t_end
+    twin.stop()
+
+
 def test_pause_at_holds_at_exact_sim_time():
     twin = tiny_twin(start_paused=True)
     target = twin.scenario.t0 + HOUR  # inside the 0.06-sim-day horizon
@@ -127,6 +148,19 @@ def test_command_queued_in_the_final_publish_applies_at_t_end():
     with pytest.raises(TwinError, match="after the run's end"):
         fresh.submit("past-end", lambda mw: None,
                      at=fresh.scenario.t_end + 1.0)
+
+
+def test_stopped_twin_refuses_commands_at_once():
+    import time
+
+    twin = tiny_twin(start_paused=True)
+    twin.start()
+    twin.stop()
+    assert not twin.running and not twin.finished
+    t0 = time.monotonic()
+    with pytest.raises(TwinError, match="engine loop exited"):
+        twin.submit("after-stop", lambda mw: None, wait=2.0)
+    assert time.monotonic() - t0 < 0.5
 
 
 def test_command_error_propagates_to_caller():
@@ -204,6 +238,21 @@ def test_read_views_are_json_shaped():
     for view in (state, fleet, {"s": servers}, slo, spans,
                  twin.metrics_dict(), twin.trace_tail_dict()):
         json.loads(json.dumps(view, sort_keys=True))
+    twin.stop()
+
+
+def test_slo_view_reports_what_the_flight_recorder_covers():
+    """With a ring smaller than the run, the SLO tables cover its tail:
+    ``coverage`` counts the evicted records and starts after ``t0``."""
+    twin = tiny_twin(ring_capacity=256)
+    twin.start()
+    assert twin.join(timeout=60)
+    coverage = twin.slo_dict()["coverage"]
+    tracer = twin.obs.tracer
+    assert coverage["records"] == len(tracer) == 256
+    assert coverage["evicted"] == tracer.total_emitted - 256 > 0
+    assert twin.scenario.t0 < coverage["first_ts"] <= coverage["last_ts"]
+    assert coverage["last_ts"] <= twin.scenario.t_end
     twin.stop()
 
 

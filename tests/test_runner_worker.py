@@ -9,11 +9,16 @@ observability is collected in a fresh bundle and merged back to the parent.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import repro.experiments.common as common
 from repro import obs as obs_mod
 from repro.runner import SweepRunner
+from repro.runner.backend import ProcessBackend
+from repro.runner.graph import TaskGraph, TaskNode
 from repro.runner.spec import SweepPoint, SweepSpec
 from repro.runner.worker import init_worker, run_point_task
 from repro.sim.calendar import SimCalendar
@@ -41,6 +46,31 @@ def _probe_reduce(cells, n: int = 3):
 
 
 PROBE_SWEEP = SweepSpec("WX", points=_probe_points, reduce=_probe_reduce)
+
+
+class _SelfCycle:
+    """Kept alive only by a reference to itself: garbage for the collector."""
+
+    def __init__(self):
+        self.me = self
+
+
+#: in a DAG worker, a weak reference to what the last ``_leave_cycle`` built
+_LEFT_BEHIND = None
+
+
+def _leave_cycle() -> str:
+    global _LEFT_BEHIND
+    obj = _SelfCycle()
+    _LEFT_BEHIND = weakref.ref(obj)
+    # promote it to the oldest generation, where a finished cell's city
+    # sits: from there only a full collection frees it
+    gc.collect(1)
+    return "left"
+
+
+def _cycle_is_gone(left: str) -> bool:
+    return _LEFT_BEHIND is not None and _LEFT_BEHIND() is None
 
 
 # --------------------------------------------------------------------------- #
@@ -122,6 +152,22 @@ def test_serial_path_uses_ambient_bundle():
         report = SweepRunner(jobs=1).run_spec(PROBE_SWEEP)
     assert bundle.registry.counter("probe_cells").value == 3
     assert all(c["parent_obs_active"] for c in report.result)
+
+
+def test_dag_worker_collects_each_node_garbage_before_the_next():
+    """A node's cyclic garbage is freed before the same worker's next node
+    starts, though the two nodes allocate far too little for CPython to
+    start a full collection of its own (DESIGN.md §2.17)."""
+    graph = TaskGraph([
+        TaskNode("GC", "leave", "tests.test_runner_worker:_leave_cycle",
+                 kind="prefix"),
+        TaskNode("GC", "check", "tests.test_runner_worker:_cycle_is_gone",
+                 needs=(("left", "leave"),)),
+    ])
+    values: dict = {}
+    ProcessBackend(jobs=1, poll_s=0.05).execute(
+        graph, graph.node_ids, values, lambda nid, value: None)
+    assert values == {"leave": "left", "check": True}
 
 
 def test_sweep_point_validation():
