@@ -1,4 +1,4 @@
-"""Bench the sweep runner: flat serial vs DAG ``--jobs 4`` vs warm cache.
+"""Bench the sweep runner: inline serial vs ``--jobs 4`` vs warm cache.
 
 Times the A6 churn sweep (21 grid cells + 1 shared workload-plan prefix, the
 repo's largest) through :class:`repro.runner.SweepRunner` and emits
@@ -14,7 +14,7 @@ Honesty rules for the record (they used to be broken — the file carried a
   on smaller boxes the ``parallel_speedup`` field is the literal string
   ``"skipped_insufficient_cores"`` (the raw measurement moves to
   ``measured_parallel_speedup`` for forensics, clearly not a claim);
-* the shared-prefix dedup is asserted unconditionally: the DAG run must
+* the shared-prefix dedup is asserted unconditionally: the parallel run must
   compute each prefix exactly once (``computed_nodes == points + prefixes``),
   on any machine — dedup is a property of the graph, not of the host.
 
@@ -54,21 +54,20 @@ def _timed(runner):
 def test_runner_speedup(tmp_path):
     cache = ResultCache(tmp_path / "bench_cache")
 
-    # the reference bytes: the historical flat serial path
-    serial_s, serial = _timed(SweepRunner(jobs=1, cache=None, backend="flat"))
-    parallel_s, parallel = _timed(
-        SweepRunner(jobs=JOBS, cache=cache, backend="dag"))
-    warm_s, warm = _timed(SweepRunner(jobs=1, cache=cache, backend="dag"))
+    # the reference bytes: the uncached inline serial path
+    serial_s, serial = _timed(SweepRunner(jobs=1, cache=None))
+    parallel_s, parallel = _timed(SweepRunner(jobs=JOBS, cache=cache))
+    warm_s, warm = _timed(SweepRunner(jobs=1, cache=cache))
 
-    # determinism contract: all paths (and both backends) render one text
+    # determinism contract: all three paths render one text
     assert parallel.result.text == serial.result.text
     assert warm.result.text == serial.result.text
     assert serial.points == parallel.points == warm.points
     assert parallel.computed == parallel.points and parallel.cached == 0
     assert warm.fully_cached
 
-    # shared-prefix dedup (acceptance criterion): the DAG run computed each
-    # prefix node exactly once — 21 grid cells + 1 shared workload plan
+    # shared-prefix dedup (acceptance criterion): the parallel run computed
+    # each prefix node exactly once — 21 grid cells + 1 shared workload plan
     assert parallel.nodes == parallel.points + 1
     assert parallel.computed_nodes == parallel.nodes
     assert warm.computed_nodes == 0

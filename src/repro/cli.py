@@ -15,23 +15,20 @@ Parallelism and caching (see DESIGN.md, "Sweep runner")::
     python -m repro run all                  # warm runs reuse .repro_cache/
     python -m repro run all --no-cache       # force recomputation
     python -m repro run E3 --cache-dir /tmp/c
-    python -m repro run A6 --backend flat    # historical flat point-pool
 
-Sweep-shaped experiments (those exporting a ``SWEEP`` spec) decompose into
-independent points executed by :class:`repro.runner.SweepRunner`; completed
-points are stored content-addressed under ``--cache-dir`` (default
-``.repro_cache/``), keyed by experiment id + point spec + code version, so a
-re-run only recomputes what changed.  ``--backend dag`` (the default, or
-``$REPRO_BACKEND``) additionally lifts each sweep's shared prefix stage —
-workload plans, city blueprints — into upstream task-graph nodes computed
-once, cached per node, and fanned out to the sweep points; ``--jobs N``
-then executes the pending subgraph over a work-stealing worker pool.
-``--jobs 1`` (the default) executes nodes inline in deterministic graph
-order — byte-identical to the historical serial runner — and any
-backend × jobs × cache combination produces byte-identical tables, because
-results are always reassembled in points order.  Runs with observability
-flags bypass the cache: an instrumented run must actually execute to have
-something to observe.
+Sweep-shaped experiments (those exporting a ``SWEEP`` spec) run as a task
+graph executed by :class:`repro.runner.SweepRunner`: each sweep's shared
+prefix stage — workload plans, city blueprints — becomes upstream nodes
+computed once and fanned out to the independent sweep points.  Completed
+nodes are stored content-addressed under ``--cache-dir`` (default
+``.repro_cache/``), keyed by node spec + upstream keys + code version, so a
+re-run only recomputes what changed.  ``--jobs 1`` (the default) executes
+nodes inline in deterministic graph order; ``--jobs N`` executes the
+pending subgraph over a work-stealing worker pool.  Any jobs × cache
+combination produces byte-identical tables, because results are always
+reassembled in points order.  Runs with observability flags bypass the
+cache: an instrumented run must actually execute to have something to
+observe.
 
 Observability (see DESIGN.md, "Observability") — any combination of::
 
@@ -81,6 +78,7 @@ Instrumentation never changes them: tracing and metrics only *observe*.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -284,9 +282,6 @@ def main(argv=None) -> int:
                            "repro.thermal.budget)")
     runp.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for sweep experiments (default 1)")
-    runp.add_argument("--backend", choices=("flat", "dag"), default=None,
-                      help="sweep execution backend (default: $REPRO_BACKEND "
-                           "or 'dag'; outputs are byte-identical either way)")
     runp.add_argument("--progress", action="store_true",
                       help="live progress line on stderr (frontier / computed"
                            " / cached, worker deaths and retries)")
@@ -474,21 +469,18 @@ def main(argv=None) -> int:
     for eid in ids:
         _, fn = EXPERIMENTS[eid]
         kwargs = {}
-        if args.seed is not None:
+        if args.seed is not None and \
+                "seed" in inspect.signature(fn).parameters:
             kwargs["seed"] = args.seed
         obs = _build_obs(args, eid, multi)  # fresh bundle per experiment
         # an instrumented run must execute to have something to observe
         runner = SweepRunner(jobs=args.jobs,
                              cache=None if obs is not None else cache,
-                             backend=args.backend,
                              progress=(_progress_printer(eid)
                                        if args.progress else None))
         t0 = time.time()
         with obs_mod.obs_session(obs) if obs is not None else nullcontext():
-            try:
-                report = runner.run_experiment(fn, **kwargs)
-            except TypeError:
-                report = runner.run_experiment(fn)  # no seed parameter
+            report = runner.run_experiment(fn, **kwargs)
         if args.progress:
             print(file=sys.stderr)      # finish the live progress line
         result = report.result

@@ -32,9 +32,9 @@ _WINDOWS_H = (
 def _city_blueprint(seed: int):
     """A4's shared prefix: the resolved city-construction kwargs.
 
-    Pure data (and globally inert — no request ids, no rng), so the DAG
-    backend caches it per node and hands it to the sim cell; the flat
-    backend recomputes it inline, byte-identically.
+    Pure data (and globally inert — no request ids, no rng), so the runner
+    caches it per node and hands it to the sim cell; a direct call of the
+    cell recomputes it inline, byte-identically.
     """
     return (("seed", seed), ("start_time", mid_month_start(1)))
 

@@ -5,21 +5,27 @@ the *sweep point* level: every cell of A6's policy × MTBF grid, every month
 of E3's capacity sweep, every scale point of E14 builds its own city from a
 seed and never talks to its neighbours.  This subpackage exploits that:
 
-* :class:`~repro.runner.spec.SweepPoint` / :class:`~repro.runner.spec.SweepSpec`
-  — the decomposition protocol an experiment module opts into by exporting a
-  ``SWEEP`` object: a *points* function (kwargs → picklable point specs), a
-  per-point *cell* function (referenced by ``module:name`` so it pickles by
-  reference), and a *reduce* function that reassembles the cells — always in
-  points order, never in completion order — into the experiment's
+* :class:`~repro.runner.spec.SweepPoint` / :class:`~repro.runner.spec.SweepPrefix`
+  / :class:`~repro.runner.spec.SweepSpec` — the decomposition protocol an
+  experiment module opts into by exporting a ``SWEEP`` object: a *points*
+  function (kwargs → picklable point specs, each naming a cell by
+  ``module:name`` so it pickles by reference), an optional *prefixes*
+  function declaring shared upstream work, and a *reduce* function that
+  reassembles the cells — always in points order, never in completion
+  order — into the experiment's
   :class:`~repro.experiments.common.ExperimentResult`;
+* :class:`~repro.runner.graph.TaskGraph` — what a sweep runs as:
+  :func:`~repro.runner.graph.graph_of` turns prefixes and points into nodes
+  wired by their ``needs``, and :func:`~repro.runner.graph.node_key` keys
+  each node by its spec, its upstream keys and the code version;
 * :class:`~repro.runner.cache.ResultCache` — a content-addressed store under
-  ``.repro_cache/`` keyed by :func:`~repro.runner.hashing.stable_hash` of
-  (experiment id, point spec, code version), so a warm re-run only recomputes
-  points whose inputs — or whose code — changed;
-* :class:`~repro.runner.runner.SweepRunner` — executes pending points either
-  inline (``jobs=1``, byte-identical to the historical serial runner) or over
-  a ``ProcessPoolExecutor`` (``--jobs N``), merging each worker's metrics
-  registry and profiler back into the parent observability bundle.
+  ``.repro_cache/``, so a warm re-run only recomputes nodes whose inputs —
+  or whose code — changed;
+* :class:`~repro.runner.runner.SweepRunner` — executes the pending nodes
+  either inline (``jobs=1``, :class:`~repro.runner.backend.InlineBackend`)
+  or on the work-stealing :class:`~repro.runner.backend.ProcessBackend`
+  (``--jobs N``), merging each worker's metrics registry, profiler and trace
+  back into the parent observability bundle in graph order.
 
 Determinism contract: for a fixed seed, ``jobs=1``, ``jobs=N`` and a warm
 cache hit all yield byte-identical ``ExperimentResult.text`` (locked in by
@@ -44,12 +50,11 @@ from repro.runner.graph import (
     node_key,
 )
 from repro.runner.hashing import code_version, kernel_cache_tag, stable_hash
-from repro.runner.runner import BACKENDS, RunReport, SweepRunner, run_sweep
+from repro.runner.runner import RunReport, SweepRunner, run_sweep
 from repro.runner.spec import SweepPoint, SweepPrefix, SweepSpec, sweep_of
 from repro.runner.worker import init_worker
 
 __all__ = [
-    "BACKENDS",
     "BackendStats",
     "GraphCycleError",
     "InlineBackend",

@@ -9,8 +9,8 @@ leak into results, and observability merge-back always happens in graph
 order, never completion order.
 
 * :class:`InlineBackend` — runs pending nodes in deterministic topological
-  order in this process under the ambient observability bundle.  With the
-  flat runner's ``jobs=1`` path this *is* the reference serial execution.
+  order in this process under the ambient observability bundle.  It serves
+  ``jobs=1`` and *is* the reference serial execution.
 * :class:`ProcessBackend` — the multicore path.  The parent keeps the DAG's
   ready frontier flowing into one **shared task queue**; idle workers steal
   the next chunk regardless of which worker computed its upstreams (there is

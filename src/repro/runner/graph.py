@@ -1,13 +1,14 @@
 """Task-DAG model for sweep execution: nodes, dependencies, ready-set order.
 
-A sweep stops being a flat point list here.  A :class:`TaskGraph` holds
+Every sweep runs as a task graph.  A :class:`TaskGraph` holds
 :class:`TaskNode` instances — each a ``module:function`` cell plus canonical
 params, exactly like :class:`~repro.runner.spec.SweepPoint` — wired by
 explicit dependencies: ``needs`` maps a *kwarg name* of the cell to the node
 whose value feeds it.  Shared work (city construction, workload generation,
 warm-up) becomes an upstream ``prefix`` node computed **once** and fanned out
-to every downstream ``point`` node, instead of being silently recomputed
-inside each point.
+to every downstream ``point`` node, instead of being recomputed inside each
+point; a sweep without shared work is a graph of independent point nodes.
+:meth:`TaskNode.execute` is the one way a cell runs.
 
 Scheduling is topological by construction: :meth:`TaskGraph.order` is a
 deterministic Kahn sort (insertion order breaks ties, so prefixes declared

@@ -1,79 +1,48 @@
-"""`SweepRunner`: execute experiment sweeps serially, in parallel, or cached.
+"""`SweepRunner`: execute experiment sweeps inline, in parallel, or cached.
 
 The execution pipeline for a sweep-shaped experiment (one exporting a
 ``SWEEP`` spec, see :mod:`repro.runner.spec`):
 
-1. **decompose** — ``spec.make_points(**kwargs)`` yields the ordered point
-   list; each point gets a cache key from :func:`~repro.runner.hashing.stable_hash`
-   over (code version, point spec);
-2. **probe** — with a cache attached, stored cell values are loaded and only
-   the *pending* points go to execution;
-3. **execute** — ``jobs=1`` runs pending cells inline, in points order, under
-   the ambient observability bundle (byte-identical to the historical serial
-   path); ``jobs>1`` fans them out over a ``ProcessPoolExecutor`` whose
-   workers are initialized by :func:`~repro.runner.worker.init_worker`;
-4. **reassemble** — cell values are keyed by ``point_id`` and handed to
+1. **graph** — :func:`~repro.runner.graph.graph_of` turns the spec into a
+   :class:`~repro.runner.graph.TaskGraph`: shared prefix stages become
+   upstream nodes, sweep points their consumers (a spec without prefixes is
+   a plain fan-out of independent points);
+2. **probe** — with a cache attached, every node is keyed by
+   :func:`~repro.runner.graph.node_key` (its spec, its upstream keys, the
+   code version); point nodes are probed first and only the ancestors of
+   missed points are needed, so a warm run executes nothing;
+3. **execute** — ``jobs=1`` runs the pending nodes inline, in deterministic
+   graph order, under the ambient observability bundle
+   (:class:`~repro.runner.backend.InlineBackend`); ``jobs>1`` runs them on
+   the work-stealing :class:`~repro.runner.backend.ProcessBackend`, which
+   merges each worker's metrics, profile and trace back in graph order;
+4. **reassemble** — point values are keyed by ``point_id`` and handed to
    ``spec.reduce`` strictly in points order, so completion order can never
-   leak into the result (property-tested in ``tests/test_runner_properties.py``);
-5. **merge back** — per-worker metrics registries and profilers are folded
-   into the parent bundle, again in points order.
+   leak into the result (property-tested in ``tests/test_runner_properties.py``).
 
 Experiments without a ``SWEEP`` spec still benefit: their whole
 :class:`~repro.experiments.common.ExperimentResult` is cached under
 (code version, experiment id, kwargs), so a warm ``run all`` skips them too.
 
-**Backends.**  ``backend="dag"`` (the default, overridable via the
-``REPRO_BACKEND`` environment variable) routes the sweep through
-:func:`~repro.runner.graph.graph_of`: shared prefix stages become upstream
-nodes computed once and cached per node (:func:`~repro.runner.graph.node_key`
-folds upstream digests into each key), and ``jobs>1`` executes the pending
-subgraph on the work-stealing :class:`~repro.runner.backend.ProcessBackend`.
-``backend="flat"`` preserves the historical point-pool pipeline above.  The
-two backends are byte-identical for every jobs/cache combination — point
-cells recompute their prefixes inline when no value is injected, so both
-paths execute the same pure functions (locked in by
+Every ``jobs × cache`` combination is byte-identical (locked in by
 ``tests/test_runner_equivalence.py`` and the golden harness).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro import obs as obs_mod
 from repro.runner.backend import BackendStats, InlineBackend, ProcessBackend
 from repro.runner.cache import ResultCache
-from repro.runner.graph import TaskGraph, graph_of, node_key
+from repro.runner.graph import graph_of, node_key
 from repro.runner.hashing import code_version, kernel_cache_tag, stable_hash
-from repro.runner.spec import SweepPoint, SweepSpec, sweep_of
-from repro.runner.worker import init_worker, run_point_task
+from repro.runner.spec import SweepSpec, sweep_of
 
-__all__ = ["BACKENDS", "RunReport", "SweepRunner", "point_key", "reassemble",
-           "run_sweep"]
-
-BACKENDS = ("flat", "dag")
-
-
-def default_backend() -> str:
-    """The backend used when none is specified: $REPRO_BACKEND or ``dag``."""
-    backend = os.environ.get("REPRO_BACKEND", "dag")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND must be one of {BACKENDS}, got {backend!r}")
-    return backend
-
-
-def point_key(point: SweepPoint) -> str:
-    """Cache key of one sweep point (content-addressed, code-versioned).
-
-    Kernel-namespaced: surrogate-tier results never share entries with the
-    byte-identical exact kernels (see :func:`kernel_cache_tag`).
-    """
-    return stable_hash(("point", code_version(), kernel_cache_tag(), point))
+__all__ = ["RunReport", "SweepRunner", "reassemble", "run_sweep"]
 
 
 def result_key(experiment_id: str, kwargs: Dict[str, Any]) -> str:
@@ -83,31 +52,30 @@ def result_key(experiment_id: str, kwargs: Dict[str, Any]) -> str:
 
 
 def reassemble(
-    points: Sequence[SweepPoint],
-    outcomes: Dict[str, Any],
+    point_ids: Sequence[str],
+    outcomes: Mapping[str, Any],
 ) -> Dict[str, Any]:
-    """Cell values keyed by ``point_id`` **in points order**.
+    """Cell values keyed by point id **in points order**.
 
     ``outcomes`` may have been populated in any completion order; the
     returned dict's iteration order is the points order, which is what makes
     ``reduce`` deterministic under parallel execution.
     """
-    missing = [p.point_id for p in points if p.point_id not in outcomes]
+    missing = [pid for pid in point_ids if pid not in outcomes]
     if missing:
         raise KeyError(f"missing outcomes for points: {missing}")
-    return {p.point_id: outcomes[p.point_id] for p in points}
+    return {pid: outcomes[pid] for pid in point_ids}
 
 
 @dataclass
 class RunReport:
     """What one experiment run did: the result plus cache/execution counts.
 
-    ``points``/``computed``/``cached`` count **sweep points** under every
-    backend, so reports stay comparable across ``flat`` and ``dag``.  The
-    node-level fields are only populated by the DAG backend: ``nodes`` is the
-    full graph size (points + prefixes), ``computed_nodes`` the nodes
-    actually executed, ``cached_nodes`` the nodes served from the per-node
-    cache — which is how tests assert a shared prefix ran *exactly once*.
+    ``points``/``computed``/``cached`` count **sweep points**.  The
+    node-level fields count graph nodes: ``nodes`` is the full graph size
+    (points + prefixes), ``computed_nodes`` the nodes actually executed,
+    ``cached_nodes`` the nodes served from the per-node cache — which is how
+    tests assert a shared prefix ran *exactly once*.
 
     ``to_dict``/``from_dict`` round-trip everything except the in-memory
     ``result`` object itself, which is represented by ``result_digest``
@@ -119,14 +87,14 @@ class RunReport:
     points: int = 0        # sweep points in the decomposition (0 = non-sweep)
     computed: int = 0      # points (or whole results) actually executed
     cached: int = 0        # points (or whole results) served from the cache
-    nodes: int = 0           # DAG only: total graph nodes (points + prefixes)
-    computed_nodes: int = 0  # DAG only: nodes executed (incl. prefixes)
-    cached_nodes: int = 0    # DAG only: nodes served from the cache
+    nodes: int = 0           # sweeps: total graph nodes (points + prefixes)
+    computed_nodes: int = 0  # sweeps: nodes executed (incl. prefixes)
+    cached_nodes: int = 0    # sweeps: nodes served from the cache
     backend_stats: Optional[BackendStats] = None
     experiment: str = ""   # experiment id (sweeps; CLI fills for non-sweeps)
-    backend: str = ""      # "flat" | "dag" ("" for direct construction)
+    backend: str = ""      # "dag" ("" for direct construction)
     jobs: int = 0          # worker processes the runner was configured with
-    wall_s: float = 0.0    # end-to-end run wall time (decompose → reduce)
+    wall_s: float = 0.0    # end-to-end run wall time (graph build → reduce)
     result_digest: str = ""  # sha256 of the rendered result text
 
     def __post_init__(self) -> None:
@@ -186,8 +154,8 @@ class RunReport:
 class SweepRunner:
     """Sweep executor: ``jobs`` worker processes + optional result cache.
 
-    ``jobs=1`` (the default) never creates a pool: pending cells run inline
-    in points order in this process, so an uncached ``jobs=1`` run is
+    ``jobs=1`` (the default) never starts a process: pending nodes run
+    inline in graph order in this process, so an uncached ``jobs=1`` run is
     *the* reference serial execution.  ``obs`` overrides the bundle that
     receives worker merge-back (defaults to the process-wide current one at
     call time).  ``progress`` is an optional callback receiving small dicts
@@ -195,22 +163,21 @@ class SweepRunner:
     probing, then per-completion execution events from the backend
     (``done``/``total``/``inflight``/``deaths``/``retries``/``workers``);
     it is display-only telemetry and never influences execution.
+    ``backend`` names the one sweep backend, the task-DAG executor; any
+    other value is rejected.
     """
 
     jobs: int = 1
     cache: Optional[ResultCache] = None
     obs: Optional[obs_mod.Observability] = None
-    backend: Optional[str] = None   # None → $REPRO_BACKEND or "dag"
+    backend: str = "dag"
     progress: Optional[Callable[[Dict[str, Any]], None]] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.backend is None:
-            self.backend = default_backend()
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        if self.backend != "dag":
+            raise ValueError(f"backend must be 'dag', got {self.backend!r}")
 
     # ------------------------------------------------------------------ #
     def _emit_progress(self, event: Dict[str, Any]) -> None:
@@ -221,7 +188,7 @@ class SweepRunner:
                 t0: float) -> RunReport:
         """Stamp provenance fields shared by every execution path."""
         report.experiment = experiment
-        report.backend = self.backend or ""
+        report.backend = self.backend
         report.jobs = self.jobs
         report.wall_s = time.perf_counter() - t0
         return report
@@ -229,8 +196,8 @@ class SweepRunner:
     def run_experiment(self, fn: Callable[..., Any], **kwargs: Any) -> RunReport:
         """Run ``fn`` (an experiment ``run`` callable) through the runner.
 
-        Sweep-shaped experiments are decomposed per point; everything else
-        falls back to whole-result execution + caching.
+        Sweep-shaped experiments are decomposed into a task graph;
+        everything else falls back to whole-result execution + caching.
         """
         spec = sweep_of(fn)
         if spec is not None:
@@ -248,38 +215,6 @@ class SweepRunner:
         return self._finish(RunReport(result=value, computed=1), "", t0)
 
     def run_spec(self, spec: SweepSpec, **kwargs: Any) -> RunReport:
-        """Decompose → probe cache → execute pending → reduce in order."""
-        if self.backend == "dag":
-            return self._run_spec_dag(spec, **kwargs)
-        t0 = time.perf_counter()
-        points = spec.make_points(**kwargs)
-        outcomes: Dict[str, Any] = {}
-        pending: List[Tuple[SweepPoint, Optional[str]]] = []
-        for p in points:
-            key = point_key(p) if self.cache is not None else None
-            if key is not None:
-                hit, value = self.cache.get(key)
-                if hit:
-                    outcomes[p.point_id] = value
-                    continue
-            pending.append((p, key))
-
-        self._emit_progress({
-            "phase": "plan", "experiment": spec.experiment_id,
-            "points": len(points), "cached": len(points) - len(pending),
-            "pending": len(pending),
-        })
-        if pending:
-            self._execute(pending, outcomes)
-        cells = reassemble(points, outcomes)
-        return self._finish(RunReport(
-            result=spec.reduce(cells, **kwargs),
-            points=len(points),
-            computed=len(pending),
-            cached=len(points) - len(pending),
-        ), spec.experiment_id, t0)
-
-    def _run_spec_dag(self, spec: SweepSpec, **kwargs: Any) -> RunReport:
         """Graph build → probe per-node cache → execute subgraph → reduce.
 
         Cache probing is **points-first**: only the ancestors of cache-missed
@@ -291,32 +226,23 @@ class SweepRunner:
         t0 = time.perf_counter()
         graph = graph_of(spec, **kwargs)
         memo: Dict[str, str] = {}
-        keys: Dict[str, Optional[str]] = {}
+        keys: Dict[str, str] = {}
         values: Dict[str, Any] = {}
-        outcomes: Dict[str, Any] = {}
-        point_nodes = graph.points()
+        point_ids = [node.node_id for node in graph.points()]
 
         def probe(node_id: str) -> bool:
             """Key the node, try the cache; True (and record value) on hit."""
-            key = node_key(graph, node_id, memo) if self.cache is not None \
-                else None
-            keys[node_id] = key
-            if key is not None:
-                hit, value = self.cache.get(key)
-                if hit:
-                    values[node_id] = value
-                    return True
-            return False
+            if self.cache is None:
+                return False
+            key = keys[node_id] = node_key(graph, node_id, memo)
+            hit, value = self.cache.get(key)
+            if hit:
+                values[node_id] = value
+            return hit
 
-        pending_points: List[str] = []
-        for node in point_nodes:
-            if probe(node.node_id):
-                outcomes[node.node_id] = values[node.node_id]
-            else:
-                pending_points.append(node.node_id)
-
+        pending_points = [nid for nid in point_ids if not probe(nid)]
         pending: List[str] = []
-        cached_nodes = len(point_nodes) - len(pending_points)
+        cached_nodes = len(point_ids) - len(pending_points)
         if pending_points:
             needed_upstream = graph.ancestors(pending_points)
             for nid in graph.node_ids:     # deterministic declaration order
@@ -329,18 +255,16 @@ class SweepRunner:
 
         self._emit_progress({
             "phase": "plan", "experiment": spec.experiment_id,
-            "points": len(point_nodes),
-            "cached": len(point_nodes) - len(pending_points),
+            "points": len(point_ids),
+            "cached": len(point_ids) - len(pending_points),
             "pending": len(pending), "graph_nodes": len(graph),
         })
         stats: Optional[BackendStats] = None
         if pending:
             def on_complete(nid: str, value: Any) -> None:
                 key = keys.get(nid)
-                if key is not None and self.cache is not None:
+                if key is not None:        # keyed only with a cache attached
                     self.cache.put(key, value)
-                if graph[nid].kind == "point":
-                    outcomes[nid] = value
 
             if self.jobs == 1:
                 engine: Any = InlineBackend(obs=self.obs,
@@ -350,97 +274,25 @@ class SweepRunner:
                                         progress=self.progress)
             stats = engine.execute(graph, pending, values, on_complete)
 
-        missing = [n.node_id for n in point_nodes if n.node_id not in outcomes]
-        if missing:
-            raise KeyError(f"missing outcomes for points: {missing}")
-        cells = {n.node_id: outcomes[n.node_id] for n in point_nodes}
         return self._finish(RunReport(
-            result=spec.reduce(cells, **kwargs),
-            points=len(point_nodes),
+            result=spec.reduce(reassemble(point_ids, values), **kwargs),
+            points=len(point_ids),
             computed=len(pending_points),
-            cached=len(point_nodes) - len(pending_points),
+            cached=len(point_ids) - len(pending_points),
             nodes=len(graph),
             computed_nodes=stats.executed if stats is not None else 0,
             cached_nodes=cached_nodes,
             backend_stats=stats,
         ), spec.experiment_id, t0)
 
-    # ------------------------------------------------------------------ #
-    def _execute(
-        self,
-        pending: Sequence[Tuple[SweepPoint, Optional[str]]],
-        outcomes: Dict[str, Any],
-    ) -> None:
-        if self.jobs == 1:
-            ambient = self.obs if self.obs is not None else obs_mod.get_obs()
-            tracing = ambient.tracer.enabled
-            for done, (point, key) in enumerate(pending, start=1):
-                if tracing:
-                    # same id hygiene as run_point_task: traced ids must be a
-                    # pure function of the point, not of prior points' counts
-                    from repro.core.requests import reset_ids
-                    reset_ids()
-                value = point.execute()
-                outcomes[point.point_id] = value
-                if key is not None and self.cache is not None:
-                    self.cache.put(key, value)
-                self._emit_progress({
-                    "done": done, "total": len(pending), "inflight": 0,
-                    "deaths": 0, "retries": 0, "workers": 1,
-                })
-            return
-
-        bundle = self.obs if self.obs is not None else obs_mod.get_obs()
-        want_metrics = bundle.metrics_enabled
-        want_profile = bundle.profiler is not None
-        want_trace = bundle.tracer.enabled
-        trace_kinds = getattr(bundle.tracer, "kinds", None)
-        merge_back: Dict[str, Tuple[Optional[obs_mod.MetricsRegistry],
-                                    Optional[obs_mod.Profiler],
-                                    Optional[List[obs_mod.TraceRecord]]]] = {}
-        with ProcessPoolExecutor(max_workers=self.jobs,
-                                 initializer=init_worker) as pool:
-            futures = {
-                pool.submit(run_point_task, point, want_metrics, want_profile,
-                            want_trace, trace_kinds):
-                (point, key)
-                for point, key in pending
-            }
-            # gather in submission order (workers still run concurrently);
-            # reduce-order determinism is enforced again by reassemble()
-            for done, (future, (point, key)) in enumerate(futures.items(),
-                                                          start=1):
-                point_id, value, registry, profiler, records = future.result()
-                outcomes[point_id] = value
-                merge_back[point_id] = (registry, profiler, records)
-                if key is not None and self.cache is not None:
-                    self.cache.put(key, value)
-                self._emit_progress({
-                    "done": done, "total": len(pending),
-                    "inflight": len(pending) - done, "deaths": 0,
-                    "retries": 0, "workers": self.jobs,
-                })
-
-        for point, _ in pending:  # merge in points order, not completion order
-            registry, profiler, records = merge_back.get(
-                point.point_id, (None, None, None))
-            if registry is not None:
-                bundle.registry.merge(registry)
-            if profiler is not None and bundle.profiler is not None:
-                bundle.profiler.merge(profiler)
-            if records:
-                bundle.tracer.absorb(records)
-
 
 def run_sweep(spec: SweepSpec, jobs: int = 1,
-              cache: Optional[ResultCache] = None,
-              backend: Optional[str] = None, **kwargs: Any) -> Any:
+              cache: Optional[ResultCache] = None, **kwargs: Any) -> Any:
     """Run one sweep spec and return its ``ExperimentResult``.
 
     ``run_sweep(SWEEP, **kwargs)`` with the defaults is the drop-in body for
-    an experiment module's ``run()``: serial, uncached, byte-identical to
-    the pre-runner implementation (under either backend — that equivalence
-    is the repo's core determinism contract).
+    an experiment module's ``run()``: serial, uncached, inline in graph
+    order — the reference execution every other ``jobs × cache``
+    combination must match byte for byte.
     """
-    return SweepRunner(jobs=jobs, cache=cache,
-                       backend=backend).run_spec(spec, **kwargs).result
+    return SweepRunner(jobs=jobs, cache=cache).run_spec(spec, **kwargs).result

@@ -10,7 +10,7 @@ exporting a module-level ``SWEEP``::
     SWEEP = SweepSpec("A6", points=sweep_points, reduce=sweep_reduce)
 
     def run(seed: int = 101) -> ExperimentResult:
-        return run_sweep(SWEEP, seed=seed)    # serial, uncached — the old path
+        return run_sweep(SWEEP, seed=seed)    # serial, uncached, inline
 
 Contract:
 
@@ -35,18 +35,23 @@ blueprints, warm-up — as :class:`SweepPrefix` nodes::
     SWEEP = SweepSpec("A6", points=sweep_points, reduce=sweep_reduce,
                       prefixes=sweep_prefixes)
 
-A point opts into a prefix via ``needs=(("plan", "workload-plan"),)``: under
-the DAG backend the prefix cell runs **once**, its value is cached per node
-and injected into each consuming point's cell as the named kwarg.  The cell
-must accept that kwarg with a ``None`` default and recompute the prefix
-itself when unset — that is what keeps the flat backend (and the historical
-serial path) byte-identical: ``cell(p, plan=None)`` computes exactly
-``prefix(...)`` inline, so both backends execute the same pure functions.
+A point opts into a prefix via ``needs=(("plan", "workload-plan"),)``: the
+prefix cell runs **once**, its value is cached per node and injected into
+each consuming point's cell as the named kwarg.  The cell must still accept
+that kwarg with a ``None`` default and recompute the prefix itself when
+unset: code that calls a cell directly, outside any graph (A5 reusing E3's
+capacity cell, tests such as the service's step-wise A6 run), gets exactly
+the value the injected prefix would have produced.
 
 Prefix cells must be **pure and globally inert**: deterministic in their
 params, touching no process-global state (in particular the request-id
 counter — a prefix that constructed request objects would shift every
-downstream id and break byte-identity between backends).
+downstream id and break byte-identity between a direct call and a graph
+run).
+
+:func:`~repro.runner.graph.graph_of` turns a spec into the task graph the
+runner executes; :class:`SweepPoint` and :class:`SweepPrefix` are only its
+declarations.
 """
 
 from __future__ import annotations
@@ -62,10 +67,9 @@ __all__ = ["SweepPoint", "SweepPrefix", "SweepSpec", "sweep_of"]
 class SweepPrefix:
     """A shared upstream stage of a sweep (city construction, workload plan).
 
-    Computed once per distinct ``params`` under the DAG backend and fanned
-    out to every point that ``needs`` it; never executed by the flat backend
-    (whose point cells recompute it inline).  The cell must be pure: same
-    params → same value, no process-global side effects.
+    Computed once per distinct ``params`` and fanned out to every point that
+    ``needs`` it.  The cell must be pure: same params → same value, no
+    process-global side effects.
     """
 
     experiment_id: str
@@ -78,15 +82,6 @@ class SweepPrefix:
             raise ValueError(f"cell must be 'module:function', got {self.cell!r}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
 
-    def resolve(self) -> Callable[..., Any]:
-        """Import and return the prefix cell function."""
-        module_name, _, func_name = self.cell.partition(":")
-        return getattr(importlib.import_module(module_name), func_name)
-
-    def execute(self) -> Any:
-        """Run the prefix cell in this process."""
-        return self.resolve()(**dict(self.params))
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -96,8 +91,7 @@ class SweepPoint:
     callable so the spec pickles by name and hashes stably; ``params`` is a
     sorted tuple of ``(name, value)`` kwargs for that function.  ``needs``
     optionally maps extra kwarg names to :class:`SweepPrefix` ids whose
-    values the DAG backend injects (the flat backend leaves those kwargs at
-    their ``None`` defaults and the cell recomputes them inline).
+    values the runner injects.
     """
 
     experiment_id: str
@@ -112,23 +106,14 @@ class SweepPoint:
         object.__setattr__(self, "params", tuple(sorted(self.params)))
         object.__setattr__(self, "needs", tuple(sorted(self.needs)))
 
-    def resolve(self) -> Callable[..., Any]:
-        """Import and return the cell function this point references."""
-        module_name, _, func_name = self.cell.partition(":")
-        return getattr(importlib.import_module(module_name), func_name)
-
-    def execute(self) -> Any:
-        """Run the cell in this process (the serial / in-worker path)."""
-        return self.resolve()(**dict(self.params))
-
 
 @dataclass(frozen=True)
 class SweepSpec:
     """An experiment's decomposition: points factory + deterministic reduce.
 
     ``prefixes`` optionally declares the shared upstream stage (see the
-    module docstring); specs without one decompose into a flat fan-out
-    under either backend.
+    module docstring); specs without one decompose into a fan-out of
+    independent points.
     """
 
     experiment_id: str

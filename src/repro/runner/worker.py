@@ -1,17 +1,17 @@
-"""Explicit worker-process initialization and the per-point worker task.
+"""Worker-process initialization, the per-node task and the worker loop.
 
 Worker processes must not depend on whatever process-global state the parent
 accumulated: the process-wide observability bundle is reset to the inactive
-default on startup, and each cell builds its own city from its point spec
+default on startup, and each cell builds its own city from its node spec
 (``repro.experiments.common`` keeps no mutable module-level singletons — a
 property ``tests/test_runner_worker.py`` enforces).
 
 When the parent's bundle collects metrics, profiles or traces, the worker
 builds a *fresh* bundle with the same pillars, runs the cell under it, and
 ships the registry/profiler/trace records back alongside the cell value; the
-parent merges them in deterministic points order.  A parallel ``--trace``
-sweep therefore yields the concatenation of per-point narratives in points
-order — the same records a serial run emits, grouped by point rather than
+parent merges them in deterministic graph order.  A parallel ``--trace``
+sweep therefore yields the concatenation of per-node narratives in graph
+order — the same records a serial run emits, grouped by node rather than
 interleaved by wall clock.
 """
 
@@ -24,56 +24,24 @@ import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs as obs_mod
-from repro.runner.spec import SweepPoint
 
-__all__ = ["dag_worker_main", "init_worker", "run_node_task", "run_point_task"]
+__all__ = ["dag_worker_main", "init_worker", "run_node_task"]
 
 
 def init_worker() -> None:
-    """Initializer for every pool worker: start from a clean slate.
+    """First step of every worker process: start from a clean slate.
 
     Installs the inactive observability bundle (a forked worker would
     otherwise inherit whatever bundle the parent had installed, double
     counting its metrics) and pre-imports the experiment package so the
-    first point does not pay the import latency under timing.
+    first node does not pay the import latency under timing.
     """
     obs_mod.install(obs_mod.OBS_OFF)
     import repro.experiments.common  # noqa: F401  (warm the import cache)
 
 
-def run_point_task(
-    point: SweepPoint, want_metrics: bool, want_profile: bool,
-    want_trace: bool = False, trace_kinds: Optional[frozenset] = None,
-) -> Tuple[str, Any, Optional[obs_mod.MetricsRegistry],
-           Optional[obs_mod.Profiler],
-           Optional[List[obs_mod.TraceRecord]]]:
-    """Execute one sweep point in a worker; returns merge-back material.
-
-    The returned tuple is ``(point_id, cell value, registry | None,
-    profiler | None, trace records | None)`` — everything picklable,
-    nothing process-global.
-    """
-    if not (want_metrics or want_profile or want_trace):
-        return point.point_id, point.execute(), None, None, None
-    registry = obs_mod.MetricsRegistry() if want_metrics else None
-    profiler = obs_mod.Profiler() if want_profile else None
-    tracer = obs_mod.Tracer(kinds=trace_kinds) if want_trace else None
-    if want_trace:
-        # request ids appear in trace records; restart the process-global
-        # counter so a point's ids don't depend on which worker ran it (or
-        # on the count the parent had reached before forking)
-        from repro.core.requests import reset_ids
-        reset_ids()
-    bundle = obs_mod.Observability(tracer=tracer, registry=registry,
-                                   profiler=profiler)
-    with obs_mod.obs_session(bundle):
-        value = point.execute()
-    records = tracer.records if tracer is not None else None
-    return point.point_id, value, registry, profiler, records
-
-
 # --------------------------------------------------------------------------- #
-# task-DAG backend: per-node task + the work-stealing worker loop
+# per-node task + the work-stealing worker loop
 # --------------------------------------------------------------------------- #
 def run_node_task(
     node, upstream: Dict[str, Any], want_metrics: bool, want_profile: bool,
@@ -82,7 +50,12 @@ def run_node_task(
            Optional[obs_mod.Profiler],
            Optional[List[obs_mod.TraceRecord]]]:
     """Execute one :class:`~repro.runner.graph.TaskNode` with its upstream
-    values injected; same observability hygiene as :func:`run_point_task`."""
+    values injected; returns merge-back material.
+
+    The returned tuple is ``(node_id, cell value, registry | None,
+    profiler | None, trace records | None)`` — everything picklable,
+    nothing process-global.
+    """
     if not (want_metrics or want_profile or want_trace):
         return node.node_id, node.execute(upstream), None, None, None
     registry = obs_mod.MetricsRegistry() if want_metrics else None

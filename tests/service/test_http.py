@@ -91,6 +91,7 @@ def test_unknown_paths_404(served_twin):
                                      data=b"{}" if method == "POST" else None)
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10)
+        err.value.close()
         assert err.value.code == 404
 
 
@@ -142,6 +143,7 @@ def test_bad_requests_are_400_not_500(served_twin):
     for path, body in cases:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(base, path, body)
+        err.value.close()
         assert err.value.code == 400, (path, body)
     assert twin.injected == injected        # nothing reached the city
     # malformed JSON body
@@ -149,6 +151,7 @@ def test_bad_requests_are_400_not_500(served_twin):
                                  method="POST")
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(req, timeout=10)
+    err.value.close()
     assert err.value.code == 400
 
 

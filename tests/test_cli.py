@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import EXPERIMENTS, main
 from repro.obs import get_obs
 
@@ -38,6 +39,38 @@ def test_run_with_seed_override(capsys):
     assert main(["run", "A1", "--seed", "123"]) == 0
     out2 = capsys.readouterr().out
     assert out1.split("completed")[0] == out2.split("completed")[0]  # deterministic
+
+
+def test_seeded_run_lets_an_experiment_type_error_propagate(monkeypatch):
+    """A TypeError raised inside an experiment is its own failure: the CLI
+    must not take it for a missing ``seed`` parameter and rerun the
+    experiment at its default seed."""
+    calls = []
+
+    def broken_run(seed: int = 101):
+        calls.append(seed)
+        raise TypeError("broken cell")
+
+    registry = cli._registry
+
+    def patched_registry():
+        entries = registry()
+        entries["E5"] = (entries["E5"][0], broken_run)
+        return entries
+
+    monkeypatch.setattr(cli, "_registry", patched_registry)
+    # main() fills the module-level registry: keep the broken entry out of
+    # the dict the other tests share
+    monkeypatch.setattr(cli, "EXPERIMENTS", {})
+    with pytest.raises(TypeError, match="broken cell"):
+        main(["run", "E5", "--seed", "7", "--no-cache"])
+    assert calls == [7]
+
+
+def test_seed_is_not_passed_to_an_experiment_without_one(capsys):
+    """E6 takes no seed; ``--seed`` leaves it alone instead of failing."""
+    assert main(["run", "E6", "--seed", "5", "--no-cache"]) == 0
+    assert "[E6]" in capsys.readouterr().out
 
 
 def test_registry_is_complete():

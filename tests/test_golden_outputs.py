@@ -78,10 +78,11 @@ def test_golden_output(eid, fn, update_golden):
 
 
 # --------------------------------------------------------------------------- #
-# backend cross-product: every sweep-shaped experiment matches its golden
-# fixture under flat and dag, serial and parallel, cold and warm cache.
-# (Non-sweep experiments have no backend dimension: run_experiment falls
-# through to whole-result execution either way, already pinned above.)
+# execution cross-product: every sweep-shaped experiment matches its golden
+# fixture in parallel and from a warm cache; the inline serial path is
+# test_golden_output itself (each sweep's run() is run_sweep at jobs=1).
+# (Non-sweep experiments have no such dimension: run_experiment falls
+# through to whole-result execution, already pinned above.)
 # --------------------------------------------------------------------------- #
 _SWEEP_IDS = ("A4", "E4", "E14", "E3", "A6")
 
@@ -95,16 +96,13 @@ def _sweep_params():
 
 @pytest.mark.parametrize("eid", _sweep_params())
 def test_golden_identical_across_backends(eid, tmp_path):
-    """flat serial ≡ dag serial ≡ dag --jobs 2 ≡ dag warm cache ≡ fixture."""
+    """--jobs 2 cold ≡ warm cache ≡ fixture (≡ the inline serial run)."""
     from repro.runner import ResultCache, SweepRunner
 
     golden = (GOLDEN_DIR / f"{eid}.txt").read_text(encoding="utf-8")
     _, fn = _registry()[eid]
     import importlib
     spec = getattr(importlib.import_module(fn.__module__), "SWEEP")
-
-    flat = SweepRunner(jobs=1, backend="flat").run_spec(spec)
-    assert str(flat.result) + "\n" == golden
 
     cache = ResultCache(tmp_path / "cache")
     dag_par = SweepRunner(jobs=2, cache=cache,

@@ -11,6 +11,7 @@ full fidelity and a whole ``run all`` warm-cache pass.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.experiments import (
     e4_architectures,
     e14_scale,
 )
-from repro.runner import ResultCache, SweepRunner
+from repro.runner import ResultCache, SweepRunner, graph_of
 
 FAST_SWEEPS = [
     pytest.param(e4_architectures, {}, id="E4"),
@@ -49,29 +50,6 @@ def test_serial_parallel_cached_equivalence(tmp_path, mod, kwargs):
 
 
 @pytest.mark.dag
-@pytest.mark.parametrize("mod,kwargs", FAST_SWEEPS)
-def test_backend_cross_equivalence(tmp_path, mod, kwargs):
-    """flat × dag × serial × parallel × warm cache: one text, byte for byte."""
-    reference = SweepRunner(jobs=1, backend="flat").run_spec(
-        mod.SWEEP, **kwargs).result.text
-
-    flat_cache = ResultCache(tmp_path / "flat")
-    dag_cache = ResultCache(tmp_path / "dag")
-    runs = {
-        "flat/jobs=2": SweepRunner(jobs=2, cache=flat_cache, backend="flat"),
-        "dag/jobs=1": SweepRunner(jobs=1, backend="dag"),
-        "dag/jobs=2": SweepRunner(jobs=2, cache=dag_cache, backend="dag"),
-        "dag/warm": SweepRunner(jobs=1, cache=dag_cache, backend="dag"),
-        "flat/warm": SweepRunner(jobs=1, cache=flat_cache, backend="flat"),
-    }
-    for label, runner in runs.items():
-        report = runner.run_spec(mod.SWEEP, **kwargs)
-        assert report.result.text == reference, f"{label} diverged"
-        if label.endswith("warm"):
-            assert report.fully_cached, f"{label} recomputed something"
-
-
-@pytest.mark.dag
 def test_dag_backend_deduplicates_shared_prefixes():
     """E3's two fleet blueprints each run once for their twelve months."""
     report = SweepRunner(jobs=1, backend="dag").run_spec(
@@ -81,17 +59,28 @@ def test_dag_backend_deduplicates_shared_prefixes():
     assert report.computed_nodes == 26      # each prefix computed exactly once
 
 
-@pytest.mark.dag
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "flat")
-    assert SweepRunner().backend == "flat"
-    monkeypatch.setenv("REPRO_BACKEND", "dag")
+def test_sweep_runner_accepts_only_the_dag_backend():
+    """The task-DAG executor is the one sweep backend; ``backend`` stays a
+    field so callers that name it keep working, and rejects anything else."""
     assert SweepRunner().backend == "dag"
-    monkeypatch.delenv("REPRO_BACKEND")
-    assert SweepRunner().backend == "dag"   # the default
-    monkeypatch.setenv("REPRO_BACKEND", "bogus")
-    with pytest.raises(ValueError, match="REPRO_BACKEND"):
-        SweepRunner()
+    assert SweepRunner(backend="dag").backend == "dag"
+    with pytest.raises(ValueError, match="backend must be 'dag'"):
+        SweepRunner(backend="flat")
+
+
+@pytest.mark.dag
+@pytest.mark.parametrize("mod,kwargs", FAST_SWEEPS)
+def test_cells_without_injected_prefix_reduce_identically(mod, kwargs):
+    """A cell called directly, outside any graph, leaves its prefix kwarg at
+    ``None`` and recomputes the prefix inline.  Tests, A5 (through E3's
+    capacity cell) and the step-wise A6 driver call cells that way, so those
+    cells must reduce to the text of the runner's injected-prefix run."""
+    graph = graph_of(mod.SWEEP, **kwargs)
+    assert all(node.needs for node in graph.points())
+    cells = {node.node_id: replace(node, needs=()).execute()
+             for node in graph.points()}
+    reference = SweepRunner(jobs=1).run_spec(mod.SWEEP, **kwargs).result.text
+    assert mod.SWEEP.reduce(cells, **kwargs).text == reference
 
 
 @pytest.mark.parametrize("mod,kwargs", FAST_SWEEPS)
@@ -106,17 +95,15 @@ def test_cache_key_depends_on_kwargs(tmp_path, mod, kwargs):
 def test_surrogate_kernel_serial_parallel_cached_equivalence(
         tmp_path, monkeypatch):
     """The determinism contract holds under the surrogate tier too: jobs=1,
-    jobs=2, flat, dag and a warm cache hit all emit one text byte for byte
-    when ``REPRO_KERNEL=surrogate`` (workers inherit the env var)."""
+    jobs=2 and a warm cache hit all emit one text byte for byte when
+    ``REPRO_KERNEL=surrogate`` (workers inherit the env var)."""
     monkeypatch.setenv("REPRO_KERNEL", "surrogate")
-    reference = SweepRunner(jobs=1, backend="flat").run_spec(
-        e14_scale.SWEEP).result.text
+    reference = SweepRunner(jobs=1).run_spec(e14_scale.SWEEP).result.text
 
     cache = ResultCache(tmp_path / "cache")
     runs = {
-        "flat/jobs=2": SweepRunner(jobs=2, cache=cache, backend="flat"),
-        "dag/jobs=1": SweepRunner(jobs=1, backend="dag"),
-        "flat/warm": SweepRunner(jobs=1, cache=cache, backend="flat"),
+        "jobs=2": SweepRunner(jobs=2, cache=cache),
+        "warm": SweepRunner(jobs=1, cache=cache),
     }
     for label, runner in runs.items():
         report = runner.run_spec(e14_scale.SWEEP)
@@ -156,19 +143,6 @@ def test_cli_jobs_byte_identical(tmp_path, capsys):
     assert main(["run", "E14", "--jobs", "2", "--no-cache"]) == 0
     parallel = capsys.readouterr().out.split("(E14 completed")[0]
     assert parallel == serial
-
-
-@pytest.mark.dag
-def test_cli_backend_flag_byte_identical(capsys):
-    """`run E4 --backend flat` ≡ `--backend dag`, serial and parallel."""
-    blocks = {}
-    for backend in ("flat", "dag"):
-        for jobs in ("1", "2"):
-            assert main(["run", "E4", "--backend", backend,
-                         "--jobs", jobs, "--no-cache"]) == 0
-            blocks[f"{backend}/{jobs}"] = \
-                capsys.readouterr().out.split("(E4 completed")[0]
-    assert len(set(blocks.values())) == 1, blocks.keys()
 
 
 def test_parallel_trace_merge_byte_identical():

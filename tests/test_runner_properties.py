@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from repro.experiments.common import ExperimentResult
 from repro.runner import ResultCache, stable_hash
 from repro.runner.hashing import canonical
-from repro.runner.runner import point_key, reassemble
-from repro.runner.spec import SweepPoint
+from repro.runner.graph import TaskGraph, TaskNode, node_key
+from repro.runner.runner import reassemble
 
 # JSON-ish payloads of the kind experiment cells actually return
 scalars = (st.none() | st.booleans() | st.integers()
@@ -75,29 +75,38 @@ def test_hash_separates_equalish_types():
     assert stable_hash((1,)) == stable_hash([1])
 
 
+def _key(node: TaskNode) -> str:
+    """A node's cache key, read from a one-node graph."""
+    return node_key(TaskGraph([node]), node.node_id)
+
+
 def test_point_key_sensitivity():
-    """The cache key moves with every field of the spec."""
-    base = SweepPoint("E4", "steady/shared",
-                      "repro.experiments.e4_architectures:_scenario",
-                      params=(("seed", 23), ("burst", False)))
+    """A point node's cache key moves with every field of its spec but its
+    id: keys are content-addressed, so a renamed node keeps its entry."""
+    base = TaskNode("E4", "steady/shared",
+                    "repro.experiments.e4_architectures:_scenario",
+                    params=(("seed", 23), ("burst", False)))
     variants = [
-        SweepPoint("E4", "steady/shared", base.cell,
-                   params=(("seed", 24), ("burst", False))),
-        SweepPoint("E4", "burst/shared", base.cell, params=base.params),
-        SweepPoint("E5", "steady/shared", base.cell, params=base.params),
-        SweepPoint("E4", "steady/shared",
-                   "repro.experiments.e14_scale:_scale_point",
-                   params=base.params),
+        TaskNode("E4", "steady/shared", base.cell,
+                 params=(("seed", 24), ("burst", False))),
+        TaskNode("E5", "steady/shared", base.cell, params=base.params),
+        TaskNode("E4", "steady/shared",
+                 "repro.experiments.e14_scale:_scale_point",
+                 params=base.params),
+        TaskNode("E4", "steady/shared", base.cell, params=base.params,
+                 kind="prefix"),
     ]
-    keys = {point_key(p) for p in [base, *variants]}
+    keys = {_key(n) for n in [base, *variants]}
     assert len(keys) == 5
+    renamed = TaskNode("E4", "burst/shared", base.cell, params=base.params)
+    assert _key(renamed) == _key(base)
 
 
 def test_point_params_order_is_canonical():
-    a = SweepPoint("X", "p", "m:f", params=(("a", 1), ("b", 2)))
-    b = SweepPoint("X", "p", "m:f", params=(("b", 2), ("a", 1)))
+    a = TaskNode("X", "p", "m:f", params=(("a", 1), ("b", 2)))
+    b = TaskNode("X", "p", "m:f", params=(("b", 2), ("a", 1)))
     assert a == b
-    assert point_key(a) == point_key(b)
+    assert _key(a) == _key(b)
 
 
 # --------------------------------------------------------------------------- #
@@ -107,20 +116,18 @@ def test_point_params_order_is_canonical():
     lambda n: st.tuples(st.just(n), st.permutations(range(n)))))
 def test_reassembly_is_completion_order_independent(case):
     n, completion_order = case
-    points = [SweepPoint("X", f"p{i}", "m:f", params=(("i", i),))
-              for i in range(n)]
+    point_ids = [f"p{i}" for i in range(n)]
     outcomes = {}
     for i in completion_order:  # workers finish in arbitrary order
         outcomes[f"p{i}"] = i * 10
-    cells = reassemble(points, outcomes)
+    cells = reassemble(point_ids, outcomes)
     assert list(cells) == [f"p{i}" for i in range(n)]       # points order
     assert list(cells.values()) == [i * 10 for i in range(n)]
 
 
 def test_reassembly_rejects_missing_points():
-    points = [SweepPoint("X", "p0", "m:f"), SweepPoint("X", "p1", "m:f")]
     with pytest.raises(KeyError, match="p1"):
-        reassemble(points, {"p0": 1})
+        reassemble(["p0", "p1"], {"p0": 1})
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from repro.runner import SweepRunner
 from repro.runner.backend import ProcessBackend
 from repro.runner.graph import TaskGraph, TaskNode
 from repro.runner.spec import SweepPoint, SweepSpec
-from repro.runner.worker import init_worker, run_point_task
+from repro.runner.worker import init_worker, run_node_task
 from repro.sim.calendar import SimCalendar
 
 
@@ -101,19 +101,23 @@ def test_common_module_keeps_no_singletons():
 
 
 def test_run_point_task_without_obs_returns_no_merge_material():
-    point = SweepPoint("WX", "p", "tests.test_runner_worker:_plain_cell",
-                       params=(("x", 7),))
-    point_id, value, registry, profiler, records = run_point_task(
-        point, want_metrics=False, want_profile=False)
+    """A point node's worker task with no pillar asked for ships the value
+    alone."""
+    point = TaskNode("WX", "p", "tests.test_runner_worker:_plain_cell",
+                     params=(("x", 7),))
+    point_id, value, registry, profiler, records = run_node_task(
+        point, {}, want_metrics=False, want_profile=False)
     assert (point_id, value, registry, profiler, records) == (
         "p", 49, None, None, None)
 
 
 def test_run_point_task_collects_fresh_bundle():
-    point = SweepPoint("WX", "p", "tests.test_runner_worker:_obs_probe_cell",
-                       params=(("tag", "abc"),))
-    point_id, value, registry, profiler, records = run_point_task(
-        point, want_metrics=True, want_profile=False)
+    """A point node's worker task runs the cell under a fresh bundle and
+    ships its registry back."""
+    point = TaskNode("WX", "p", "tests.test_runner_worker:_obs_probe_cell",
+                     params=(("tag", "abc"),))
+    point_id, value, registry, profiler, records = run_node_task(
+        point, {}, want_metrics=True, want_profile=False)
     assert value["parent_obs_active"] is True  # the cell saw the task bundle
     assert registry is not None and profiler is None and records is None
     assert registry.counter("probe_cells").value == 1
