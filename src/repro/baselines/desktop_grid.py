@@ -106,10 +106,15 @@ class DesktopGridBaseline:
     def _drain(self) -> None:
         if self.owner_present(self.engine.now):
             return
+        # no simulated time passes in a drain and placements only shrink free
+        # cores, so a request wider than the widest free gap cannot fit
+        widest = max(d.free_cores for d in self.desktops)
         remaining = []
         for req, sink in self._queue:
-            if not self._try_place(req, sink):
+            if req.cores > widest or not self._try_place(req, sink):
                 remaining.append((req, sink))
+            else:
+                widest = max(d.free_cores for d in self.desktops)
         self._queue = remaining
 
     def _try_place(self, req, sink) -> bool:

@@ -469,9 +469,12 @@ def main(argv=None) -> int:
     for eid in ids:
         _, fn = EXPERIMENTS[eid]
         kwargs = {}
-        if args.seed is not None and \
-                "seed" in inspect.signature(fn).parameters:
-            kwargs["seed"] = args.seed
+        if args.seed is not None:
+            if "seed" in inspect.signature(fn).parameters:
+                kwargs["seed"] = args.seed
+            else:
+                print(f"{eid} takes no seed; --seed {args.seed} ignored",
+                      file=sys.stderr)
         obs = _build_obs(args, eid, multi)  # fresh bundle per experiment
         # an instrumented run must execute to have something to observe
         runner = SweepRunner(jobs=args.jobs,

@@ -163,12 +163,9 @@ class DF3Middleware:
             tracer=self.obs.tracer if self.obs.tracer.enabled else None,
             profiler=self.obs.profiler,
         )
-        #: resolved kernel for this city ("scalar" | "vector" | "surrogate");
-        #: resolved before any server exists, because servers adopt the
-        #: engine's incremental-accounting mode at construction time.  The
-        #: surrogate tier runs on the vector substrate (bank + fused arrays).
+        #: resolved kernel for this city ("scalar" | "vector" | "surrogate").
+        #: The surrogate tier runs on the vector substrate (bank + fused arrays).
         self.kernel = resolve_kernel(cfg.kernel)
-        self.engine.incremental_accounting = self.kernel != "scalar"
         self.rngs = RngRegistry(cfg.seed)
         self.cal = SimCalendar()
         self.weather = Weather(

@@ -72,15 +72,26 @@ class DatacenterNode(ComputeServer):
         super().sync()
 
     def it_power_w(self) -> float:
-        """IT-only electrical draw (W)."""
-        return super().power_w()
+        """IT-only electrical draw (W): the base server formula, uncached."""
+        if not self._enabled:
+            return 0.0
+        spec = self.spec
+        return (spec.p_idle_w + spec.p_span_w * (self._busy_cores / spec.n_cores)
+                * spec.power_scales[self._freq_cap])
 
     def power_w(self) -> float:
-        """Total draw including cooling + fixed overheads (W)."""
-        it = self.it_power_w()
-        if it == 0.0:
-            return 0.0
-        return it * (1.0 + self.cooling_overhead) + self.fixed_overhead_w
+        """Total draw including cooling + fixed overheads (W).
+
+        This is what the power cache holds for a node, so the energy that
+        :meth:`ComputeServer.sync` integrates is the facility's.
+        """
+        p = self._power_cache
+        if p is None:
+            it = self.it_power_w()
+            p = self._power_cache = (
+                0.0 if it == 0.0
+                else it * (1.0 + self.cooling_overhead) + self.fixed_overhead_w)
+        return p
 
     def pue(self) -> float:
         """Instantaneous PUE (undefined → returns inf when IT power is 0)."""

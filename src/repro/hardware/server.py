@@ -19,7 +19,6 @@ Model choices (kept deliberately simple and documented):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional
@@ -158,8 +157,6 @@ class ComputeServer:
     engine: the simulation engine used for time and completion events.
     """
 
-    _ids = itertools.count()
-
     def __init__(self, name: str, spec: ServerSpec, engine):
         self.name = name
         self.spec = spec
@@ -168,20 +165,15 @@ class ComputeServer:
         self._enabled = True
         self._failed = False
         self._running: Dict[str, Task] = {}
-        # cached Σ task.cores × task.chunks, maintained on every change.  The
-        # cache is only *read* when the engine runs with incremental accounting
-        # (the vector kernel); the scalar reference recomputes from the
-        # running-task map.
+        # Σ task.cores × task.chunks, maintained at every site that changes
+        # the running-task map, so busy load is O(1) to read
         self._busy_cores = 0
-        # cached Σ task.cores × task.chunks over filler tasks, maintained
-        # beside _busy_cores at every site that changes it, so paying load
-        # is one subtraction on the vector kernel
+        # the same sum over filler tasks, maintained beside _busy_cores, so
+        # paying load is one subtraction
         self._filler_cores = 0
-        self._incremental = bool(getattr(engine, "incremental_accounting", False))
-        # memoised power_w()/core_rate values, read only under incremental
-        # accounting; invalidated whenever busy cores, the frequency cap or
-        # the power state change, so the cached value is always bitwise equal
-        # to a recomputation
+        # memoised power_w()/core_rate values; invalidated whenever busy
+        # cores, the frequency cap or the power state change, so the cached
+        # value is always bitwise equal to a recomputation
         self._power_cache: Optional[float] = None
         self._rate_cache: Optional[float] = None
         self._last_sync = engine.now
@@ -217,28 +209,17 @@ class ComputeServer:
 
     @property
     def busy_cores(self) -> int:
-        """Cores currently occupied by running tasks.
-
-        Scalar reference: recomputed from the running-task map on every read.
-        Vector kernel (``engine.incremental_accounting``): the incrementally
-        maintained counter — always equal, O(1) instead of O(tasks).
-        """
-        if self._incremental:
-            return self._busy_cores
-        return sum(t.cores * t.chunks for t in self._running.values())
+        """Cores currently occupied by running tasks (a maintained counter)."""
+        return self._busy_cores
 
     @property
     def paying_cores(self) -> int:
         """Busy cores minus filler cores: the load paying work puts here.
 
         Filler is displaced the instant paying work arrives, so it does not
-        count.  Scalar reference: recomputed from the running-task map.
-        Vector kernel: busy minus the maintained filler counter.
+        count: busy minus the maintained filler counter.
         """
-        if self._incremental:
-            return self._busy_cores - self._filler_cores
-        return sum(t.cores * t.chunks for t in self._running.values()
-                   if t.metadata.get("kind") != "filler")
+        return self._busy_cores - self._filler_cores
 
     @property
     def idle(self) -> bool:
@@ -250,9 +231,7 @@ class ComputeServer:
         """Cores available for new tasks (0 when powered off)."""
         if not self._enabled:
             return 0
-        if self._incremental:
-            return self.spec.n_cores - self._busy_cores
-        return self.spec.n_cores - self.busy_cores
+        return self.spec.n_cores - self._busy_cores
 
     @property
     def utilization(self) -> float:
@@ -271,11 +250,10 @@ class ComputeServer:
 
     def core_rate_cycles_per_s(self) -> float:
         """Per-core execution rate at the current P-state."""
-        if self._rate_cache is not None:
-            return self._rate_cache
-        rate = self.spec.rates_hz[self._freq_cap] if self._enabled else 0.0
-        if self._incremental:
-            self._rate_cache = rate
+        rate = self._rate_cache
+        if rate is None:
+            rate = self._rate_cache = (self.spec.rates_hz[self._freq_cap]
+                                       if self._enabled else 0.0)
         return rate
 
     def power_w(self) -> float:
@@ -284,16 +262,14 @@ class ComputeServer:
         ``P_idle + (P_max − P_idle) · util · powerscale(f)``, from the spec's
         precomputed span and power factors; same association as that formula.
         """
-        if self._power_cache is not None:
-            return self._power_cache
-        if not self._enabled:
-            p = 0.0
-        else:
-            spec = self.spec
-            busy = self._busy_cores if self._incremental else self.busy_cores
-            p = (spec.p_idle_w + spec.p_span_w * (busy / spec.n_cores)
-                 * spec.power_scales[self._freq_cap])
-        if self._incremental:
+        p = self._power_cache
+        if p is None:
+            if not self._enabled:
+                p = 0.0
+            else:
+                spec = self.spec
+                p = (spec.p_idle_w + spec.p_span_w * (self._busy_cores / spec.n_cores)
+                     * spec.power_scales[self._freq_cap])
             self._power_cache = p
         return p
 
@@ -312,14 +288,12 @@ class ComputeServer:
             raise RuntimeError(f"server {self.name}: engine time went backwards")
         if dt == 0:
             return
-        # the caches are only ever set on the incremental kernel; when one
-        # is unset, its accessor computes the value (and caches it there)
+        # when a cache is unset, its accessor computes the value and sets it
         power = self._power_cache
         if power is None:
             power = self.power_w()
         self.energy_j += power * dt
-        busy = self._busy_cores if self._incremental else self.busy_cores
-        self.busy_core_seconds += busy * dt
+        self.busy_core_seconds += self._busy_cores * dt
         rate = self._rate_cache
         if rate is None:
             rate = self.core_rate_cycles_per_s()
@@ -409,8 +383,7 @@ class ComputeServer:
         self.sync()  # a no-op at an unchanged clock, kept: one sync per submit
         if not self._enabled:
             return False
-        busy = self._busy_cores if self._incremental else self.busy_cores
-        if task.cores > self.spec.n_cores - busy:
+        if task.cores > self.spec.n_cores - self._busy_cores:
             return False
         task.state = TaskState.RUNNING
         task.submitted_at = self.engine.now if task.submitted_at < 0 else task.submitted_at

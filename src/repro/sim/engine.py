@@ -195,12 +195,6 @@ class Engine:
         self._events_executed = 0
         self.tracer = tracer
         self.profiler = profiler
-        #: vector-kernel switch, set *before* building the model: servers
-        #: bound to this engine adopt O(1) incremental bookkeeping (cached
-        #: busy-core counters) instead of the scalar reference's recompute-
-        #: on-read.  Results are byte-identical either way; only the work
-        #: per query changes (DESIGN.md §2.13).
-        self.incremental_accounting = False
 
     # ------------------------------------------------------------------ #
     # scheduling

@@ -68,9 +68,16 @@ def test_seeded_run_lets_an_experiment_type_error_propagate(monkeypatch):
 
 
 def test_seed_is_not_passed_to_an_experiment_without_one(capsys):
-    """E6 takes no seed; ``--seed`` leaves it alone instead of failing."""
+    """E6 takes no seed; ``--seed`` leaves it alone, with a note on stderr."""
     assert main(["run", "E6", "--seed", "5", "--no-cache"]) == 0
-    assert "[E6]" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "[E6]" in out
+    assert "ignored" not in out
+    assert err == "E6 takes no seed; --seed 5 ignored\n"
+    assert main(["run", "E5", "--seed", "7", "--no-cache"]) == 0
+    out, err = capsys.readouterr()
+    assert "[E5]" in out
+    assert err == ""
 
 
 def test_registry_is_complete():

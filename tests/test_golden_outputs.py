@@ -22,7 +22,7 @@ from repro.cli import _registry
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: experiments that take > ~3 s at default fidelity (full tier only)
-SLOW_IDS = {"F4", "E3", "E9", "A6"}
+SLOW_IDS = {"F4", "E3", "A6"}
 
 
 def _params():

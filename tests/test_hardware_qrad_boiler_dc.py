@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.common import small_city
 from repro.hardware.boiler import ASPERITAS_AIC24, STIMERGY_SMALL, DigitalBoiler
 from repro.hardware.datacenter import Datacenter, DatacenterNode
 from repro.hardware.qrad import (
@@ -163,3 +164,60 @@ def test_datacenter_heat_accounting(engine):
     dc.submit(Task("j", 1e15, cores=4))
     dc.account_heat(3600.0)
     assert ledger.outdoor_j(OutdoorHeatSource.DC_COOLING) > 0
+
+
+# --------------------------------------------------------------------------- #
+# datacenter energy against its closed form
+# --------------------------------------------------------------------------- #
+def _node_draw_w(node, busy, cap, powered):
+    """``(total, IT)`` draw from the node's spec, outside the server code."""
+    if not powered:
+        return 0.0, 0.0
+    spec = node.spec
+    it = (spec.p_idle_w + (spec.p_max_w - spec.p_idle_w) * (busy / spec.n_cores)
+          * spec.ladder.power_scale(cap))
+    return it * (1.0 + node.cooling_overhead) + node.fixed_overhead_w, it
+
+
+@pytest.mark.parametrize("make_dc", [
+    lambda: Datacenter("dc", n_nodes=1, engine=Engine()),
+    lambda: small_city().datacenter,
+], ids=["plain-engine", "middleware"])
+def test_datacenter_energy_matches_its_closed_form(make_dc):
+    """energy_j = Σ total draw·Δt and it_energy_j = Σ IT draw·Δt over the
+    intervals a node holds one state, on any engine; energy_pue is their
+    fleet ratio.  The rest of the fleet idles at the top P-state."""
+    dc = make_dc()
+    engine = dc.engine
+    node = dc.nodes[0]
+    top = len(node.spec.ladder) - 1
+    start = engine.now
+    held = []                                # (Δt, busy cores, cap, powered)
+
+    def hold(seconds, busy, cap, powered):
+        t0 = engine.now
+        engine.run_until(t0 + seconds)
+        node.sync()
+        held.append((engine.now - t0, busy, cap, powered))
+
+    node.submit(Task("j", 1e18, cores=4))
+    hold(10.0, 4, top, True)
+    node.set_freq_cap(0)                     # DVFS cap change mid-task
+    hold(10.0, 4, 0, True)
+    node.kill_all()
+    node.power_off()
+    hold(10.0, 0, 0, False)
+    node.power_on()
+    hold(5.0, 0, 0, True)
+
+    energy = it_energy = 0.0
+    for dt, busy, cap, powered in held:
+        total_w, it_w = _node_draw_w(node, busy, cap, powered)
+        energy += total_w * dt
+        it_energy += it_w * dt
+    assert node.energy_j == pytest.approx(energy, rel=1e-12)
+    assert node.it_energy_j == pytest.approx(it_energy, rel=1e-12)
+    idle_total_w, idle_it_w = _node_draw_w(node, 0, top, True)
+    rest = (len(dc.nodes) - 1) * (engine.now - start)
+    assert dc.energy_pue() == pytest.approx(
+        (energy + rest * idle_total_w) / (it_energy + rest * idle_it_w), rel=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.hardware.boiler import STIMERGY_SMALL
 from repro.hardware.cpu import DVFSLadder, PState
-from repro.hardware.datacenter import DC_NODE_SPEC
+from repro.hardware.datacenter import DC_NODE_SPEC, DatacenterNode
 from repro.hardware.qrad import CRYPTO_SPEC, ERADIATOR_SPEC, QRAD_SPEC
 from repro.hardware.server import ComputeServer, ServerSpec, Task, TaskState
 from repro.sim.engine import Engine
@@ -250,12 +250,57 @@ def test_completion_callback_can_submit_next(engine):
 
 
 # --------------------------------------------------------------------------- #
-# paying cores: busy minus filler, maintained on the vector kernel
+# counters and caches against closed forms, at every site that changes them
 # --------------------------------------------------------------------------- #
-def _fuzz_step(rng, eng, srv, ids):
-    """One random server operation: the sites that change busy cores."""
-    op = rng.choice(["submit", "submit", "batch", "batch", "preempt",
-                     "preempt", "filler", "advance", "advance", "kill"])
+def fuzz_spec():
+    """16 cores on three P-states, so a cap can move to a different index."""
+    return ServerSpec(
+        model="fuzz",
+        n_cores=16,
+        ladder=DVFSLadder([PState(1.0, 0.8), PState(1.5, 0.9), PState(2.0, 1.0)]),
+        p_idle_w=50.0,
+        p_max_w=250.0,
+    )
+
+
+def _it_draw_w(spec, busy, index, enabled):
+    """The spec's power expression, in the server's association."""
+    if not enabled:
+        return 0.0
+    return (spec.p_idle_w + (spec.p_max_w - spec.p_idle_w) * (busy / spec.n_cores)
+            * spec.ladder.power_scale(index))
+
+
+def _dc_draw_w(node, busy, index, enabled):
+    """A datacenter node's total draw: IT plus cooling and fixed overheads."""
+    it = _it_draw_w(node.spec, busy, index, enabled)
+    if it == 0.0:
+        return 0.0
+    return it * (1.0 + node.cooling_overhead) + node.fixed_overhead_w
+
+
+def _give(srv, kernel, batch):
+    """Start ``batch`` as ``kernel``'s middleware starts filler.
+
+    The vector kernel hands a server the batch in one ``submit_batch``, each
+    block whole; the scalar kernel submits every chunk as a task of its own,
+    one by one, until one is refused.
+    """
+    if kernel == "vector":
+        srv.submit_batch(batch)
+        return
+    for task in batch:
+        for i in range(task.chunks):
+            if not srv.submit(Task.prevalidated(f"{task.task_id}.{i}", task.work_cycles,
+                                                task.cores, None, task.metadata)):
+                return
+
+
+def _fuzz_step(rng, eng, srv, ids, kernel):
+    """One random server operation; returns its kind, or None if it was a no-op."""
+    op = rng.choice(["submit", "submit", "batch", "batch", "preempt", "preempt",
+                     "filler", "advance", "advance", "cap", "cap", "power",
+                     "power", "kill", "fail", "repair"])
     running = srv.running_tasks
     if op == "submit":
         srv.submit(Task(f"t{next(ids)}", work_cycles=rng.uniform(0.2, 4.0) * GHZ,
@@ -270,7 +315,7 @@ def _fuzz_step(rng, eng, srv, ids):
         if rng.random() < 0.5:
             batch.insert(0, Task(f"t{next(ids)}", work_cycles=GHZ,
                                  metadata={"kind": "edge"}))
-        srv.submit_batch(batch)
+        _give(srv, kernel, batch)
     elif op == "preempt" and running:
         t = rng.choice(running)
         if t.chunks > 1 and rng.random() < 0.7:
@@ -281,65 +326,109 @@ def _fuzz_step(rng, eng, srv, ids):
         srv.preempt_kind("filler")
     elif op == "advance":
         eng.run_until(eng.now + rng.uniform(0.0, 3.0))   # completions
-    elif op == "kill" and rng.random() < 0.2:
+    elif op == "cap":
+        n = len(srv.spec.ladder)
+        if rng.random() < 0.5:
+            srv.set_freq_cap(srv.freq_index)
+            return "cap-same"
+        srv.set_freq_cap((srv.freq_index + rng.randint(1, n - 1)) % n)
+        return "cap-other"
+    elif op == "power" and not srv.enabled:
+        srv.power_on()                                   # refused while failed
+        return "power-on"
+    elif op == "power" and srv.idle:
+        srv.power_off()
+        return "power-off"
+    elif op == "kill" and rng.random() < 0.3:
         srv.kill_all()
+    elif op == "fail" and srv.idle and not srv.failed:
+        srv.fail()
+    elif op == "repair" and srv.failed:
+        srv.repair()
+    else:
+        return None
+    return op
 
 
-@pytest.mark.parametrize("incremental", [False, True], ids=["scalar", "vector"])
-@pytest.mark.parametrize("seed", range(6))
-def test_paying_cores_match_running_work_under_fuzz(seed, incremental):
+_FUZZ_OPS = {"submit", "batch", "preempt", "filler", "advance", "cap-same",
+             "cap-other", "power-on", "power-off", "kill", "fail", "repair"}
+
+
+def _walk_against_closed_forms(seed, kernel, eng, srv, draw_w):
+    """400 random operations; after each, every counter and cache is read as
+    it stands (no cache cleared) and compared with its closed form from the
+    running tasks, the power state and the P-state."""
     rng = random.Random(seed)
-    eng = Engine()
-    eng.incremental_accounting = incremental
-    srv = ComputeServer("s", simple_spec(n_cores=16), eng)
     ids = itertools.count()
+    spec = srv.spec
+    ran = set()
     for _ in range(400):
-        _fuzz_step(rng, eng, srv, ids)
+        ran.add(_fuzz_step(rng, eng, srv, ids, kernel))
         running = srv.running_tasks
+        busy = sum(t.cores * t.chunks for t in running)
+        assert srv.busy_cores == busy
         assert srv.paying_cores == sum(
-            t.cores for t in running if t.metadata.get("kind") != "filler")
-        assert srv.busy_cores == sum(t.cores * t.chunks for t in running)
+            t.cores * t.chunks for t in running if t.metadata.get("kind") != "filler")
+        assert srv.free_cores == (spec.n_cores - busy if srv.enabled else 0)
+        power = draw_w(busy, srv.freq_index, srv.enabled)
+        rate = spec.ladder[srv.freq_index].freq_ghz * GHZ if srv.enabled else 0.0
+        assert srv.power_w().hex() == power.hex()
+        assert srv.core_rate_cycles_per_s().hex() == rate.hex()
+    assert ran - {None} == _FUZZ_OPS
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+@pytest.mark.parametrize("seed", range(6))
+def test_paying_cores_match_running_work_under_fuzz(seed, kernel):
+    eng = Engine()
+    srv = ComputeServer("s", fuzz_spec(), eng)
+    _walk_against_closed_forms(seed, kernel, eng, srv,
+                               lambda *state: _it_draw_w(srv.spec, *state))
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
+@pytest.mark.parametrize("seed", range(3))
+def test_dc_node_caches_its_total_draw_under_fuzz(seed, kernel):
+    eng = Engine()
+    node = DatacenterNode("n", eng)
+    _walk_against_closed_forms(seed, kernel, eng, node,
+                               lambda *state: _dc_draw_w(node, *state))
 
 
 # --------------------------------------------------------------------------- #
 # power and rate from per-spec constants
 # --------------------------------------------------------------------------- #
-def _vector_engine():
-    eng = Engine()
-    eng.incremental_accounting = True
-    return eng
-
-
-@pytest.mark.parametrize("incremental", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("kernel", ["scalar", "vector"])
 @pytest.mark.parametrize(
     "spec", [QRAD_SPEC, ERADIATOR_SPEC, CRYPTO_SPEC, STIMERGY_SMALL.server,
              DC_NODE_SPEC], ids=lambda spec: spec.model)
-def test_power_and_rate_equal_the_spec_expressions_bit_for_bit(spec, incremental):
-    """Every P-state x busy count x power state, compared with float.hex."""
-    eng = Engine()
-    eng.incremental_accounting = incremental
-    srv = ComputeServer("s", spec, eng)
+def test_power_and_rate_equal_the_spec_expressions_bit_for_bit(spec, kernel):
+    """Every P-state x busy count x power state, compared with float.hex.
+
+    Each busy count is reached as ``kernel``'s middleware fills a server with
+    filler; power and rate are read when computed and again from the caches.
+    """
+    srv = ComputeServer("s", spec, Engine())
     ladder = spec.ladder
 
     def check(busy):
         for i in range(len(ladder)):
             srv.set_freq_cap(i)
-            srv._power_cache = srv._rate_cache = None   # force a recompute
-            if srv.enabled:
-                power = (spec.p_idle_w + (spec.p_max_w - spec.p_idle_w)
-                         * (busy / spec.n_cores) * ladder.power_scale(i))
-                rate = ladder[i].freq_ghz * 1e9
-            else:
-                power = rate = 0.0
-            assert srv.power_w().hex() == power.hex(), (i, busy)
-            assert srv.core_rate_cycles_per_s().hex() == rate.hex(), (i, busy)
+            power = _it_draw_w(spec, busy, i, srv.enabled)
+            rate = ladder[i].freq_ghz * 1e9 if srv.enabled else 0.0
+            for _ in range(2):                           # computed, then cached
+                assert srv.power_w().hex() == power.hex(), (i, busy)
+                assert srv.core_rate_cycles_per_s().hex() == rate.hex(), (i, busy)
 
     srv.power_off()
     check(0)
     srv.power_on()
     for busy in range(spec.n_cores + 1):
         if busy:
-            assert srv.submit(Task(f"t{busy}", 1e18))
+            srv.preempt_kind("filler")
+            _give(srv, kernel, [Task.prevalidated(
+                f"f{busy}", 1e18, 1, None, {"kind": "filler"}, chunks=busy)])
+        assert srv.busy_cores == busy
         check(busy)
 
 
@@ -355,7 +444,7 @@ def test_spec_constants_stay_out_of_equality_and_hashing():
 
 
 def test_power_and_rate_recompute_make_no_nested_calls(python_calls):
-    srv = ComputeServer("s", two_state_spec(), _vector_engine())
+    srv = ComputeServer("s", two_state_spec(), Engine())
     srv.submit(Task("a", 1000 * GHZ, cores=3))
     srv._power_cache = None
     assert python_calls(srv.power_w) == 1            # power_w itself only
@@ -364,7 +453,7 @@ def test_power_and_rate_recompute_make_no_nested_calls(python_calls):
 
 
 def test_set_freq_cap_keeps_caches_only_when_the_cap_is_unchanged():
-    srv = ComputeServer("s", two_state_spec(), _vector_engine())
+    srv = ComputeServer("s", two_state_spec(), Engine())
     srv.submit(Task("a", 1000 * GHZ, cores=3))
     srv.power_w()
     srv.core_rate_cycles_per_s()

@@ -302,7 +302,6 @@ def test_surrogate_sample_district_byte_identical_to_vector():
 def test_kernel_flag_reaches_surrogate_layer():
     sur = small_city(kernel="surrogate")
     assert sur.kernel == "surrogate"
-    assert sur.engine.incremental_accounting
     assert all(s.incremental_scans for s in sur.schedulers.values())
     assert sur._bank is not None and sur._fused_thermal is not None
     assert sur.surrogate is not None
@@ -315,7 +314,6 @@ def test_kernel_flag_reaches_every_layer():
     vec = small_city(kernel="vector")
     ref = small_city(kernel="scalar")
     assert vec.kernel == "vector" and ref.kernel == "scalar"
-    assert vec.engine.incremental_accounting and not ref.engine.incremental_accounting
     assert all(s.incremental_scans for s in vec.schedulers.values())
     assert not any(s.incremental_scans for s in ref.schedulers.values())
     assert vec._bank is not None and ref._bank is None
@@ -440,7 +438,6 @@ class _FillerSide:
     def __init__(self, blocks: bool):
         self.blocks = blocks
         self.engine = Engine()
-        self.engine.incremental_accounting = True
         self.server = ComputeServer("q", QRAD_SPEC, self.engine)
         self.batches = {}                   # batch number → its entry ids
         self.filler_done = Counter()        # completion time → chunks
