@@ -312,17 +312,22 @@ def main(argv=None) -> int:
                       help="buildings per district (default 2)")
     srvp.add_argument("--dc-nodes", type=int, default=8,
                       help="datacenter nodes (default 8)")
-    srvp.add_argument("--pace", type=float, default=0.0, metavar="X",
-                      help="real seconds per simulated second (default 0: "
-                           "free-run as fast as the engine goes)")
-    srvp.add_argument("--slice-s", type=float, default=300.0,
+    # the twin's knobs default to None: only flags the user set reach
+    # TwinConfig, which holds their defaults
+    srvp.add_argument("--pace", type=float, default=None, metavar="X",
+                      help="real seconds per simulated second (0 free-runs "
+                           "as fast as the engine goes; default "
+                           "TwinConfig.pace)")
+    srvp.add_argument("--slice-s", type=float, default=None,
                       help="max simulated seconds per engine slice "
-                           "(command/pause granularity; default 300)")
-    srvp.add_argument("--telemetry-every-s", type=float, default=900.0,
+                           "(command/pause granularity; default "
+                           "TwinConfig.slice_s)")
+    srvp.add_argument("--telemetry-every-s", type=float, default=None,
                       help="simulated seconds between SSE telemetry "
-                           "publishes (default 900)")
-    srvp.add_argument("--flight-recorder", type=int, default=65536, metavar="N",
-                      help="trace ring-buffer capacity (default 65536)")
+                           "publishes (default TwinConfig.telemetry_every_s)")
+    srvp.add_argument("--flight-recorder", type=int, default=None, metavar="N",
+                      help="trace ring-buffer capacity (default "
+                           "TwinConfig.ring_capacity)")
     srvp.add_argument("--start-paused", action="store_true",
                       help="boot holding at t0; resume via POST /api/control")
     srvp.add_argument("--kernel", choices=("scalar", "vector", "surrogate"),
@@ -363,6 +368,10 @@ def main(argv=None) -> int:
             os.environ["REPRO_KERNEL"] = args.kernel
         from repro.service import ScenarioConfig, TwinConfig, build_twin, serve
 
+        twin_flags = {"slice_s": args.slice_s,
+                      "telemetry_every_s": args.telemetry_every_s,
+                      "pace": args.pace,
+                      "ring_capacity": args.flight_recorder}
         try:
             twin = build_twin(
                 ScenarioConfig(seed=args.seed, month=args.month,
@@ -370,11 +379,9 @@ def main(argv=None) -> int:
                                n_districts=args.districts,
                                buildings_per_district=args.buildings,
                                dc_nodes=args.dc_nodes),
-                TwinConfig(slice_s=args.slice_s,
-                           telemetry_every_s=args.telemetry_every_s,
-                           pace=args.pace,
-                           ring_capacity=args.flight_recorder,
-                           start_paused=args.start_paused),
+                TwinConfig(start_paused=args.start_paused,
+                           **{k: v for k, v in twin_flags.items()
+                              if v is not None}),
             )
         except ValueError as exc:
             print(f"bad scenario: {exc}", file=sys.stderr)

@@ -158,11 +158,7 @@ class DF3Middleware:
         self.config = config
         cfg = config
         self.obs = obs if obs is not None else get_obs()
-        self.engine = Engine(
-            start=cfg.start_time,
-            tracer=self.obs.tracer if self.obs.tracer.enabled else None,
-            profiler=self.obs.profiler,
-        )
+        self.engine = Engine(start=cfg.start_time, profiler=self.obs.profiler)
         #: resolved kernel for this city ("scalar" | "vector" | "surrogate").
         #: The surrogate tier runs on the vector substrate (bank + fused arrays).
         self.kernel = resolve_kernel(cfg.kernel)

@@ -3,9 +3,9 @@
 A trace is an append-only sequence of :class:`TraceRecord` — typed, timestamped
 facts about what happened inside the simulator: request lifecycle transitions
 (``edge.received`` → ``edge.admitted`` → ``edge.queued`` → ``edge.scheduled``
-→ ``edge.completed``), regulator actions, fault injections, engine event
-dispatch.  Records carry *simulated* time, so a trace is as deterministic as
-the run that produced it.
+→ ``edge.completed``), regulator actions, fault injections, recovery and
+policy decisions, periodic samples.  Records carry *simulated* time, so a
+trace is as deterministic as the run that produced it.
 
 Records may additionally carry **causal identity** (``trace_id`` / ``span_id``
 / ``parent_id``): every lifecycle event of one request shares the request's
@@ -39,11 +39,12 @@ numeric types instead of silently stringifying ``np.float64`` the way a
 ``default=str`` exporter would.
 
 Canonical record kinds (``TraceRecord.kind``): ``request``, ``regulator``,
-``fault``, ``resilience``, ``engine``, ``comfort``, ``fleet``, ``slo``,
-``policy`` (recovery policy-engine decisions: clone spawn/skip, sibling
-cancellation, adaptive per-flow switches).  Kinds are open-ended — new
-subsystems may add their own — but exporters group by kind, so reuse these
-when they fit.
+``fault``, ``resilience``, ``policy`` (recovery policy-engine decisions:
+clone spawn/skip, sibling cancellation, adaptive per-flow switches),
+``sample`` (per-tick ``comfort.sample`` / ``fleet.sample`` gauges), ``slo``,
+``surrogate`` and ``runner`` (sweep task-graph nodes).  Kinds are
+open-ended — new subsystems may add their own — but exporters group by
+kind, so reuse these when they fit.
 """
 
 from __future__ import annotations

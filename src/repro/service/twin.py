@@ -57,7 +57,7 @@ class TwinError(RuntimeError):
 class TwinConfig:
     """Runtime knobs of the engine thread (not of the simulated city)."""
 
-    slice_s: float = 300.0          # max simulated seconds per engine slice
+    slice_s: float = 60.0           # max simulated seconds per engine slice
     telemetry_every_s: float = 900.0  # sim-seconds between telemetry publishes
     pace: float = 0.0               # real seconds per sim second (0 = free run)
     ring_capacity: int = 65536      # flight-recorder depth
@@ -153,13 +153,15 @@ class DigitalTwin:
         if self._thread is not None:
             raise TwinError("twin already started")
         self._started_wall = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-twin", daemon=True)
-        self._thread.start()
+        # published before the engine thread exists: this thread may wait
+        # longer for the interpreter lock than a short run takes
         self.bus.publish("run.started", {
             "now": self.now, "t_end": self.scenario.t_end,
             "scenario": self.scenario.config.to_dict(),
         })
+        self._thread = threading.Thread(
+            target=self._loop, name="repro-twin", daemon=True)
+        self._thread.start()
 
     def stop(self, timeout: float = 10.0) -> None:
         """Ask the engine thread to exit and join it."""

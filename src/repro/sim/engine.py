@@ -39,12 +39,12 @@ callbacks that dispatches exactly as one :meth:`Engine.schedule_at` call per
 item would, but occupies a single heap entry — its earliest undispatched
 item — so the heap holds live work, not every future arrival.
 
-The engine optionally carries a tracer and a profiler (see :mod:`repro.obs`):
-with either attached, every dispatched callback is attributed to a label (the
-``label=`` given at scheduling time, or the callback's ``__qualname__``) —
-the profiler accumulates wall-clock per label, the tracer records the
-dispatch at simulated time.  With both detached (the default) the dispatch
-loop is exactly the uninstrumented fast path.
+The engine optionally carries a profiler (see :mod:`repro.obs`): with one
+attached, every dispatched callback's wall-clock time is charged to a label
+(the ``label=`` given at scheduling time, or the callback's
+``__qualname__``).  Without one (the default) the dispatch loop is exactly
+the uninstrumented fast path.  The engine writes no trace records: the
+subsystems it dispatches trace their own spans and instants.
 """
 
 from __future__ import annotations
@@ -169,9 +169,6 @@ class Engine:
     start:
         Simulation epoch in seconds (default 0.0 = Jan 1, 00:00 in
         :class:`repro.sim.calendar.SimCalendar` terms).
-    tracer:
-        Optional :class:`repro.obs.Tracer`; when set, each dispatched
-        callback emits an ``engine.dispatch`` record.
     profiler:
         Optional :class:`repro.obs.Profiler`; when set, each dispatched
         callback's wall-clock time is attributed to its label.
@@ -183,7 +180,7 @@ class Engine:
     extended by a later call.
     """
 
-    def __init__(self, start: float = 0.0, tracer=None, profiler=None):
+    def __init__(self, start: float = 0.0, profiler=None):
         self.now: float = float(start)
         # heap entries are (time, priority, seq, Event): the hot-loop
         # comparisons then run on plain tuples in C instead of dispatching
@@ -193,7 +190,6 @@ class Engine:
         self._processes: List[Process] = []
         self._groups: dict = {}  # (group, period, offset) → _ProcessGroup
         self._events_executed = 0
-        self.tracer = tracer
         self.profiler = profiler
 
     # ------------------------------------------------------------------ #
@@ -208,8 +204,8 @@ class Engine:
                     label: Optional[str] = None) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``.
 
-        ``label`` names the event for profiling/tracing attribution; unnamed
-        events fall back to the callback's ``__qualname__``.
+        ``label`` names the event for profiling attribution; unnamed events
+        fall back to the callback's ``__qualname__``.
         """
         if not time >= self.now:  # one test catches NaN and the past
             self._reject_time(time)
@@ -360,7 +356,7 @@ class Engine:
         """Execute all events with ``time <= horizon``, then set now=horizon."""
         if horizon < self.now:
             raise SimulationError(f"horizon {horizon} is before now={self.now}")
-        instrumented = self.tracer is not None or self.profiler is not None
+        instrumented = self.profiler is not None
         heap = self._heap  # the engine never rebinds its heap
         pop = heappop
         while heap and heap[0][0] <= horizon:
@@ -393,7 +389,7 @@ class Engine:
             raise SimulationError(f"horizon {horizon} is before now={self.now}")
         if max_events is not None and max_events < 0:
             raise SimulationError(f"max_events must be >= 0, got {max_events}")
-        instrumented = self.tracer is not None or self.profiler is not None
+        instrumented = self.profiler is not None
         executed = 0
         while self._heap and self._heap[0][0] <= horizon:
             if max_events is not None and executed >= max_events:
@@ -435,7 +431,7 @@ class Engine:
             if ev.cancelled:
                 continue
             self.now = ev.time
-            if self.tracer is not None or self.profiler is not None:
+            if self.profiler is not None:
                 self._dispatch_instrumented(ev)
             else:
                 ev.callback()
@@ -444,16 +440,11 @@ class Engine:
         return False
 
     def _dispatch_instrumented(self, ev: Event) -> None:
-        """Run one callback under profiling and/or tracing attribution."""
+        """Run one callback and charge its wall-clock time to its label."""
         label = ev.label or getattr(ev.callback, "__qualname__", "callback")
         t0 = perf_counter()
         ev.callback()
-        elapsed = perf_counter() - t0
-        if self.profiler is not None:
-            self.profiler.record(label, elapsed)
-        if self.tracer is not None:
-            self.tracer.emit("engine", "engine.dispatch", self.now,
-                             label=label, priority=ev.priority)
+        self.profiler.record(label, perf_counter() - t0)
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -1,14 +1,16 @@
-"""End-to-end observability: a fully instrumented city produces all four
-canonical record kinds, a non-empty metrics snapshot, and — crucially —
-does not perturb the simulation it observes."""
+"""End-to-end observability: a fully instrumented city produces the request,
+regulator and fault record kinds (and no per-callback engine records), a
+non-empty metrics snapshot, and — crucially — does not perturb the
+simulation it observes."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro import obs as O
 from repro.core.faults import FaultInjector
-from repro.core.requests import CloudRequest, EdgeRequest
+from repro.core.requests import CloudRequest, EdgeRequest, reset_ids
 from repro.experiments import f3_three_flows
 from repro.experiments.common import small_city
 from repro.obs import to_chrome_trace
@@ -39,7 +41,8 @@ def test_all_four_record_kinds_present():
     obs = full_obs()
     run_city(obs=obs)
     kinds = obs.tracer.counts_by_kind()
-    assert {"request", "regulator", "fault", "engine"} <= set(kinds)
+    assert {"request", "regulator", "fault"} <= set(kinds)
+    assert "engine" not in kinds
     names = {r.name for r in obs.tracer.records}
     # request lifecycle
     assert {"edge.received", "edge.admitted", "edge.scheduled",
@@ -47,7 +50,26 @@ def test_all_four_record_kinds_present():
     # regulator actions and fault injections
     assert "regulator.heat_on" in names or "regulator.heat_off" in names
     assert {"fault.server_crash", "fault.server_recover"} <= names
-    assert "engine.dispatch" in names
+    assert "engine.dispatch" not in names
+
+
+#: sha256 of ``run_city``'s JSONL trace as the engine wrote it when it still
+#: emitted one ``engine.dispatch`` record per callback, with those records
+#: dropped: every other record keeps its bytes, span ids and order (the
+#: scalar and vector kernels write the same trace; the surrogate adds its own)
+RUN_CITY_TRACE_SHA256 = \
+    "4ef97c397c8700e9158f8bb83dbfc81660d1ce22ccfad1d4d86834ec2d2dcd7f"
+
+
+def test_trace_equals_the_pinned_trace_without_engine_records(tmp_path,
+                                                              monkeypatch):
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    reset_ids()
+    obs = O.Observability(tracer=O.Tracer())
+    run_city(obs=obs)
+    data = obs.tracer.write_jsonl(tmp_path / "t.jsonl").read_bytes()
+    assert len(data.splitlines()) == 318
+    assert hashlib.sha256(data).hexdigest() == RUN_CITY_TRACE_SHA256
 
 
 def test_metrics_snapshot_nonempty_and_consistent():

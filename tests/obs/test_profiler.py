@@ -45,18 +45,6 @@ def test_engine_attributes_labels_to_profiler():
     assert len(ticks) == 3
 
 
-def test_engine_emits_dispatch_records_to_tracer():
-    tr = Tracer()
-    eng = Engine(tracer=tr)
-    eng.schedule(1.0, lambda: None, label="x")
-    eng.schedule(2.0, lambda: None, label="y")
-    eng.run_until(10.0)
-    assert tr.counts_by_kind() == {"engine": 2}
-    labels = [r.args["label"] for r in tr.records]
-    assert labels == ["x", "y"]
-    assert [r.ts for r in tr.records] == [1.0, 2.0]
-
-
 def test_engine_step_is_instrumented():
     prof = Profiler()
     eng = Engine(profiler=prof)
@@ -67,7 +55,9 @@ def test_engine_step_is_instrumented():
 
 def test_uninstrumented_engine_has_no_hooks():
     eng = Engine()
-    assert eng.tracer is None and eng.profiler is None
+    assert eng.profiler is None
+    with pytest.raises(TypeError):
+        Engine(tracer=Tracer())  # the engine writes no trace records
     eng.schedule(1.0, lambda: None)
     eng.run_until(2.0)
     assert eng.events_executed == 1

@@ -148,7 +148,7 @@ def test_streaming_peak_memory_is_bounded_on_instrumented_city():
         mw = small_city(seed=5)
         mw.inject([EdgeRequest(cycles=2e9, time=30.0 * i,
                                source="district-0/building-0")
-                   for i in range(100)])
+                   for i in range(300)])
         mw.run_until(0.25 * DAY)
     assert len(tr) > 1000                  # the run actually traced
     assert tr.peak_buffered <= 256         # O(buffer), not O(run)

@@ -278,9 +278,11 @@ def test_injection_queued_during_a_publish_applies_inside_it():
     the scripted one that injects there."""
     from repro.service.twin import PUBLISH_CHUNK_RECORDS
 
+    # long enough that the ring outgrows one chunk before the final publish
+    scen = ScenarioConfig(duration_days=0.3, tail_days=0.05)
     reset_ids()
     obs = _obs()
-    scenario = build_scenario(SCEN, obs=obs)
+    scenario = build_scenario(scen, obs=obs)
     twin = DigitalTwin(scenario, obs,
                        TwinConfig(slice_s=300.0, telemetry_every_s=1800.0))
     source = next(iter(scenario.mw.buildings))
@@ -312,7 +314,7 @@ def test_injection_queued_during_a_publish_applies_inside_it():
                            ("trace", None), ("command.applied", "probe")]
 
     reset_ids()
-    ref = build_scenario(SCEN, obs=_obs())
+    ref = build_scenario(scen, obs=_obs())
     ref.mw.run_until(boundary)
     ref.mw.inject([EdgeRequest(cycles=2e8, time=boundary, deadline_s=60.0,
                                source=source)])

@@ -34,11 +34,10 @@ def test_runs_to_completion_and_publishes_lifecycle():
     twin.start()
     assert twin.join(timeout=60)
     assert twin.finished and twin.now == twin.scenario.t_end
-    kinds = set()
-    while not sub.events.empty():
-        kinds.add(sub.events.get_nowait().kind)
-    assert {"run.started", "state", "metrics", "run.finished"} <= kinds
     twin.stop()
+    kinds = [kind for kind, _, _ in drain(sub, timeout=0, max_events=10_000)]
+    assert {"run.started", "state", "metrics", "run.finished"} <= set(kinds)
+    assert kinds[0] == "run.started" and kinds[-1] == "run.finished"
 
 
 def test_start_twice_rejected():
@@ -253,6 +252,21 @@ def test_slo_view_reports_what_the_flight_recorder_covers():
     assert coverage["evicted"] == tracer.total_emitted - 256 > 0
     assert twin.scenario.t0 < coverage["first_ts"] <= coverage["last_ts"]
     assert coverage["last_ts"] <= twin.scenario.t_end
+    twin.stop()
+
+
+def test_flight_recorder_holds_a_tiny_run_whole():
+    """The tiny run emits 336 records; with one ``engine.dispatch`` record
+    per callback it emitted 607, which a 512-record ring would evict.  The
+    SLO tables then cover the whole run."""
+    twin = tiny_twin(ring_capacity=512)
+    twin.start()
+    assert twin.join(timeout=60)
+    coverage = twin.slo_dict()["coverage"]
+    tracer = twin.obs.tracer
+    assert coverage["evicted"] == 0
+    assert coverage["records"] == tracer.total_emitted == len(tracer)
+    assert "engine" not in tracer.counts_by_kind()
     twin.stop()
 
 

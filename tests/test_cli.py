@@ -1,6 +1,10 @@
 """Tests for the CLI experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +114,8 @@ def test_run_fully_instrumented(tmp_path, capsys):
     kinds = set()
     for line in trace.read_text().splitlines():
         kinds.add(json.loads(line)["kind"])
-    assert {"request", "regulator", "engine"} <= kinds
+    assert {"request", "regulator", "sample"} <= kinds
+    assert "engine" not in kinds  # the engine writes no per-callback records
     # chrome trace parses and carries events
     doc = json.loads(chrome.read_text())
     assert len(doc["traceEvents"]) > 100
@@ -132,3 +137,35 @@ def test_obs_uninstalled_after_run(tmp_path):
     assert main(["run", "A1", "--metrics-out", str(tmp_path / "m.json")]) == 0
     assert get_obs() is before
     assert not get_obs().active
+
+
+# --------------------------------------------------------------------------- #
+# serve
+# --------------------------------------------------------------------------- #
+def test_serve_passes_only_the_twin_flags_the_user_set(monkeypatch):
+    """TwinConfig holds the twin's defaults: an unset flag leaves its field
+    at the default, a set one overrides it."""
+    import repro.service as service
+
+    served = []
+    monkeypatch.setattr(service, "serve",
+                        lambda twin, **kw: served.append(twin.config))
+    assert main(["serve", "--days", "0.02"]) == 0
+    assert main(["serve", "--days", "0.02", "--slice-s", "120",
+                 "--pace", "0.5", "--flight-recorder", "512"]) == 0
+    assert served == [
+        service.TwinConfig(),
+        service.TwinConfig(slice_s=120.0, pace=0.5, ring_capacity=512),
+    ]
+
+
+def test_parser_does_not_import_the_service():
+    """Building the parser leaves ``repro.service`` unloaded (checked in a
+    fresh interpreter, because this process has imported it)."""
+    program = ("import sys, repro.cli\n"
+               "repro.cli.main(['list'])\n"
+               "assert 'repro.service' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
